@@ -16,6 +16,9 @@ legitimately fill nodes to ~100% of the slacked capacity while greedy
 leaves headroom, so raw load factors are not compared against each
 other.
 
+It also prints the hypergraph/multilevel wall_ms ratio per query
+length, reported only: smoke-scale timings are too small to gate on.
+
 Usage: python3 check_frontier_grid.py <grid.json>
 """
 import json
@@ -88,6 +91,15 @@ def main(path):
                     f"qlen={q}: hypergraph is not capacity-feasible "
                     f"(feasible={hg['feasible']}, load factor "
                     f"{hg['max_load_factor']:.3f}) while {rival_name} is")
+
+    # Reported, not gated: at smoke scale both partitioners finish in
+    # about a millisecond, where the ratio is timer noise.
+    for q in qlens:
+        hg_ms = by_cell[(q, "hypergraph")]["wall_ms"]
+        ml_ms = by_cell[(q, "multilevel")]["wall_ms"]
+        ratio = f"{hg_ms / ml_ms:.2f}x" if ml_ms > 0 else "n/a"
+        print(f"qlen={q}: hypergraph/multilevel wall_ms "
+              f"{hg_ms:.3f}/{ml_ms:.3f} = {ratio}")
 
     n_checked = len(long_qlens)
     print(

@@ -1,10 +1,10 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/lex_order.hpp"
 
 namespace cca::core {
 
@@ -86,19 +86,31 @@ std::vector<KeywordHyperedge> build_hyperedges(
     const trace::QueryTrace& trace) {
   // Queries arrive with sorted distinct keywords (QueryTrace::add_query
   // canonicalizes), so the keyword vector itself is the aggregation key.
-  // std::map keeps the output deterministically sorted by pin set.
-  std::map<std::vector<trace::KeywordId>, std::size_t> counts;
-  for (const trace::Query& q : trace.queries()) {
-    if (q.size() < 2) continue;
-    ++counts[q.keywords];
-  }
+  // Sorting the multi-keyword queries by it and counting adjacent runs
+  // emits the edges sorted by pin set, into an exactly reserved vector.
+  std::vector<const trace::Query*> multi;
+  for (const trace::Query& q : trace.queries())
+    if (q.size() >= 2) multi.push_back(&q);
+  const std::vector<std::size_t> order = common::lexicographic_order(
+      multi.size(), [&](std::size_t i) -> const std::vector<trace::KeywordId>& {
+        return multi[i]->keywords;
+      });
   std::vector<KeywordHyperedge> out;
-  out.reserve(counts.size());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (i == 0 || multi[order[i]]->keywords != multi[order[i - 1]]->keywords)
+      ++distinct;
+  out.reserve(distinct);
   const double rate_unit =
       trace.empty() ? 0.0 : 1.0 / static_cast<double>(trace.size());
-  for (auto& [pins, count] : counts)
-    out.push_back(
-        KeywordHyperedge{pins, static_cast<double>(count) * rate_unit});
+  for (std::size_t i = 0; i < order.size();) {
+    const std::vector<trace::KeywordId>& pins = multi[order[i]]->keywords;
+    std::size_t j = i + 1;
+    while (j < order.size() && multi[order[j]]->keywords == pins) ++j;
+    out.push_back(KeywordHyperedge{
+        pins, static_cast<double>(j - i) * rate_unit});
+    i = j;
+  }
   return out;
 }
 

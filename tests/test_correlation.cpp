@@ -50,6 +50,21 @@ TEST(PairWeights, SmallestPairModelPicksTwoSmallestIndices) {
   EXPECT_TRUE(found_12);
 }
 
+TEST(Hyperedges, AggregatesQueryShapesInPinSetOrder) {
+  // The singleton query drops out, repeated shapes merge into one edge
+  // weighted by their rate, and edges come out sorted by pin set with a
+  // proper prefix first.
+  const auto edges = build_hyperedges(tiny_trace());
+  ASSERT_EQ(edges.size(), 3u);
+  EXPECT_EQ(edges[0].pins, (std::vector<trace::KeywordId>{0, 1}));
+  EXPECT_DOUBLE_EQ(edges[0].weight, 2.0 / 5.0);
+  EXPECT_EQ(edges[1].pins, (std::vector<trace::KeywordId>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(edges[1].weight, 1.0 / 5.0);
+  EXPECT_EQ(edges[2].pins, (std::vector<trace::KeywordId>{3, 4}));
+  EXPECT_DOUBLE_EQ(edges[2].weight, 1.0 / 5.0);
+  EXPECT_TRUE(build_hyperedges(trace::QueryTrace(6)).empty());
+}
+
 TEST(ImportanceRanking, OrdersByPairCostFirstAppearance) {
   // Pairs with hand-picked costs: (4,5) cost 10, (0,1) cost 4, (1,2) cost 1.
   std::vector<KeywordPairWeight> pairs{

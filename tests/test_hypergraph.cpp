@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/hypergraph.hpp"
@@ -167,6 +168,100 @@ TEST(Hypergraph, DeterministicPerSeed) {
   EXPECT_TRUE(inst.is_feasible(hypergraph_placement(inst, other)));
 }
 
+// ---------- overflow drain ----------
+
+TEST(Hypergraph, RepairDrainsDeepOverloadsCompletely) {
+  // Two percent capacity slack over mixed object sizes: coarse vertices
+  // cannot bin-pack, so levels end overloaded and the drain both evicts
+  // (cheapest lambda increase first) and spills. The result must still
+  // come out feasible, and the spill count is pinned so any change in
+  // which objects the drain picks shows up here.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
+  violations.reset();
+
+  common::Rng rng(12);
+  const int n = 48;
+  std::vector<double> sizes(n);
+  double total = 0.0;
+  for (double& s : sizes) {
+    s = 1.0 + static_cast<double>(rng.next_below(3));
+    total += s;
+  }
+  CcaInstance inst(sizes, std::vector<double>(4, 1.02 * total / 4), {});
+  std::vector<Hyperedge> edges;
+  for (int e = 0; e < 160; ++e) {
+    Hyperedge edge;
+    const int k = 3 + static_cast<int>(rng.next_below(4));  // 3..6 pins
+    for (int t = 0; t < k; ++t)
+      edge.pins.push_back(static_cast<int>(rng.next_below(n)));
+    edge.weight = 1.0 + 3.0 * rng.next_double();
+    edges.push_back(std::move(edge));
+  }
+  inst.set_hyperedges(std::move(edges));
+  HypergraphOptions options;
+  options.coarsen_to = 4;
+  options.seed = 12;
+  const Placement p = hypergraph_placement(inst, options);
+  reg.set_enabled(false);
+  EXPECT_TRUE(inst.is_feasible(p));
+  EXPECT_EQ(violations.total(), 15);
+}
+
+TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
+  // Pins overload node 0 beyond repair: the drain must terminate, place
+  // every object, and surface the violation through the metric instead of
+  // spinning or silently succeeding.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
+  violations.reset();
+
+  CcaInstance inst({3, 3, 1, 1}, {4.0, 4.0}, {});
+  inst.set_hyperedges({{{0, 2}, 2.0}, {{1, 3}, 2.0}, {{0, 1, 2, 3}, 1.0}});
+  inst.pin(0, 0);
+  inst.pin(1, 0);  // pinned load 6 > capacity 4
+  const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
+  ASSERT_EQ(p.size(), 4u);
+  EXPECT_EQ(p[0], 0);
+  EXPECT_EQ(p[1], 0);
+  for (NodeId k : p) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 2);
+  }
+  // Four objects never coarsen: one counted give-up per restart.
+  EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
+}
+
+TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
+  // Total size exceeds total capacity: feasibility is impossible, but the
+  // partitioner must terminate with a complete placement and count spills.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
+  violations.reset();
+
+  CcaInstance inst(std::vector<double>(10, 1.0), {2.0, 2.0}, {});
+  inst.set_hyperedges({{{0, 1, 2, 3, 4}, 1.0},
+                       {{5, 6, 7, 8, 9}, 1.0},
+                       {{0, 9}, 0.5}});
+  const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
+  ASSERT_EQ(p.size(), 10u);
+  for (NodeId k : p) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 2);
+  }
+  // Draining node 0 spills onto node 1, whose drain spills it all back:
+  // nine counted spills per restart, and the drain still ends.
+  EXPECT_EQ(violations.total(), 36);
+}
+
 TEST(Hypergraph, TraceLambdaCostHandComputed) {
   trace::QueryTrace trace(5);
   trace.add_query({0, 1});        // same node below: lambda 1 -> 0
@@ -197,6 +292,38 @@ PartialOptimizer make_optimizer(double mean_query_length,
   cfg.scope = 80;
   cfg.seed = seed;
   return PartialOptimizer(trace, sizes, cfg);
+}
+
+/// FNV-1a over a placement's node ids, four little-endian bytes each.
+std::uint64_t fnv1a(const Placement& placement) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const NodeId k : placement)
+    for (int b = 0; b < 4; ++b) {
+      hash ^= (static_cast<std::uint32_t>(k) >> (8 * b)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  return hash;
+}
+
+TEST(Hypergraph, GoldenPlacementHash) {
+  // Pins the partitioner's exact output on a mean-length-6 pipeline
+  // instance, through both the hyperedge path and the pairwise fallback.
+  // Data-layout and speed work must leave every move unchanged; a
+  // deliberate behaviour change updates these constants and says why.
+  const PartialOptimizer opt = make_optimizer(6.0, 5);
+  const CcaInstance& scoped = opt.scoped_instance();
+  std::size_t pins = 0;
+  for (const Hyperedge& e : scoped.hyperedges()) pins += e.pins.size();
+  ASSERT_GE(pins, 2000u);
+
+  HypergraphOptions options;
+  options.seed = 5;
+  EXPECT_EQ(fnv1a(hypergraph_placement(scoped, options)),
+            0x56adf77bd660a5a5ULL);
+  CcaInstance pairwise = scoped;
+  pairwise.set_hyperedges({});
+  EXPECT_EQ(fnv1a(hypergraph_placement(pairwise, options)),
+            0xf05e74aa1eda9c25ULL);
 }
 
 TEST(Hypergraph, AllQueriesIdenticalStillPlaces) {
