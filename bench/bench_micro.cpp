@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: MD5 hashing, Zipf sampling, posting-list intersection,
-// pair counting, LP solves, and randomized rounding.
+// pair counting, component grouping, LP solves, and randomized rounding.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -329,6 +329,45 @@ void BM_ComponentLpSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComponentLpSolve)->Arg(25)->Arg(100)->Arg(400);
+
+// One connected component of state.range(0) objects: a chain plus twice
+// as many random chords, over 16 nodes at fill 1.0. Node capacity is twice
+// the average load, so the peel cuts the component into ~8 pieces — the
+// cost BM_ComponentLpSolve's 4-object components never reach.
+void BM_BuildGroups(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  common::Rng rng(5);
+  std::vector<double> sizes;
+  std::vector<core::PairWeight> pairs;
+  double total = 0.0;
+  for (int o = 0; o < n; ++o) {
+    sizes.push_back(1.0 + rng.next_double() * 9.0);
+    total += sizes.back();
+    if (o > 0)
+      pairs.push_back({o - 1, o, 0.1 + rng.next_double() * 0.4,
+                       1.0 + rng.next_double() * 10.0});
+  }
+  const auto pick = [&] {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  for (int c = 0; c < 2 * n; ++c) {
+    const int i = pick();
+    const int j = pick();
+    if (i != j)
+      pairs.push_back({i, j, 0.1 + rng.next_double() * 0.4,
+                       1.0 + rng.next_double() * 10.0});
+  }
+  const core::CcaInstance instance(
+      sizes, std::vector<double>(16, 2.0 * total / 16), pairs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_groups(instance, core::ComponentSolverOptions{1, 1.0}));
+  }
+}
+BENCHMARK(BM_BuildGroups)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullLpSolve(benchmark::State& state) {
   const core::CcaInstance instance =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,49 @@ class UnionFind {
   std::vector<int> size_;
 };
 
+/// Positive-cost pair adjacency in CSR form, built once per build_groups
+/// call and shared read-only by the component tasks. Each object's
+/// neighbours appear in pair order, so sums over them accumulate in the
+/// same order as a scan of instance.pairs() would.
+struct PairAdjacency {
+  std::vector<std::size_t> offsets;  // object -> first entry; n + 1 long
+  std::vector<std::pair<ObjectId, double>> entries;
+
+  explicit PairAdjacency(const CcaInstance& instance)
+      : offsets(static_cast<std::size_t>(instance.num_objects()) + 1, 0) {
+    for (const PairWeight& p : instance.pairs()) {
+      if (p.cost() <= 0.0) continue;
+      ++offsets[p.i + 1];
+      ++offsets[p.j + 1];
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    entries.resize(offsets.back());
+    std::vector<std::size_t> next(offsets.begin(), offsets.end() - 1);
+    for (const PairWeight& p : instance.pairs()) {
+      if (p.cost() <= 0.0) continue;
+      entries[next[p.i]++] = {p.j, p.cost()};
+      entries[next[p.j]++] = {p.i, p.cost()};
+    }
+  }
+
+  /// (neighbour, pair cost) entries of object `i`.
+  std::span<const std::pair<ObjectId, double>> of(ObjectId i) const {
+    return {entries.data() + offsets[i], entries.data() + offsets[i + 1]};
+  }
+};
+
+/// Per-component scratch of the peel, indexed by an object's position in
+/// its component's member list (`local_of`). Members of the group being
+/// peeled are flagged `in_group`; everything else is zero between calls.
+struct PeelScratch {
+  std::vector<char> in_group;
+  std::vector<char> in_piece;
+  std::vector<double> attachment;  // non-member -> cost to the piece
+
+  explicit PeelScratch(std::size_t n)
+      : in_group(n, 1), in_piece(n, 0), attachment(n, 0.0) {}
+};
+
 /// Peels one at-most-`limit`-sized piece off an oversized group with a
 /// greedy sweep cut: grow the piece from the largest member by repeatedly
 /// absorbing the unassigned member most strongly attached to it (by pair
@@ -55,45 +99,60 @@ class UnionFind {
 /// tends to be "one node's worth of whole clusters" — the cheap
 /// approximation of what the integer program would have to do once a
 /// component cannot fit on one node.
+///
+/// The next member comes off a lazy max-heap keyed by (attachment desc,
+/// size desc, group position asc) — the order a linear scan with strict
+/// comparisons would pick in — so a piece costs O(E log E) over the
+/// group's pairs instead of O(|group|^2). `group` lists members in
+/// component order, so group position and `local_of` agree in order.
 std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
-    const CcaInstance& instance, const std::vector<ObjectId>& group,
-    double limit) {
+    const CcaInstance& instance, const PairAdjacency& adj,
+    const std::vector<int>& local_of, const std::vector<ObjectId>& group,
+    double limit, PeelScratch& scratch) {
   CCA_CHECK(group.size() >= 2);
 
-  // Local adjacency restricted to the group.
-  std::unordered_map<ObjectId, std::vector<std::pair<ObjectId, double>>> adj;
-  std::unordered_map<ObjectId, bool> in_group;
-  for (ObjectId i : group) in_group[i] = true;
-  for (const PairWeight& p : instance.pairs()) {
-    if (p.cost() <= 0.0) continue;
-    if (!in_group.count(p.i) || !in_group.count(p.j)) continue;
-    adj[p.i].push_back({p.j, p.cost()});
-    adj[p.j].push_back({p.i, p.cost()});
-  }
+  struct Candidate {
+    double gain;
+    double size;
+    int local;
+    ObjectId object;
+    bool operator<(const Candidate& o) const {
+      if (gain != o.gain) return gain < o.gain;
+      if (size != o.size) return size < o.size;
+      return local > o.local;
+    }
+  };
+  // Every member enters at gain 0; attachment growth pushes fresh keys and
+  // leaves the old ones stale.
+  std::vector<Candidate> heap;
+  heap.reserve(group.size());
+  for (ObjectId i : group)
+    heap.push_back({0.0, instance.object_size(i), local_of[i], i});
+  std::make_heap(heap.begin(), heap.end());
 
   ObjectId seed = group[0];
   for (ObjectId i : group)
     if (instance.object_size(i) > instance.object_size(seed)) seed = i;
 
-  std::unordered_map<ObjectId, double> attachment;  // non-member -> cost
-  std::unordered_map<ObjectId, bool> in_piece;
   std::vector<ObjectId> absorb_order;
   double piece_size = 0.0;
   double cut = 0.0;  // cost of edges crossing the piece / rest boundary
 
   auto absorb = [&](ObjectId i) {
+    const int li = local_of[i];
     absorb_order.push_back(i);
-    in_piece[i] = true;
+    scratch.in_piece[li] = 1;
     piece_size += instance.object_size(i);
-    if (auto it = attachment.find(i); it != attachment.end()) {
-      cut -= it->second;
-      attachment.erase(it);
-    }
-    for (const auto& [nbr, cost] : adj[i]) {
-      if (!in_piece[nbr]) {
-        attachment[nbr] += cost;
-        cut += cost;
-      }
+    cut -= scratch.attachment[li];  // exact no-op when unattached
+    scratch.attachment[li] = 0.0;
+    for (const auto& [nbr, cost] : adj.of(i)) {
+      const int ln = local_of[nbr];
+      if (!scratch.in_group[ln] || scratch.in_piece[ln]) continue;
+      scratch.attachment[ln] += cost;
+      cut += cost;
+      heap.push_back(
+          {scratch.attachment[ln], instance.object_size(nbr), ln, nbr});
+      std::push_heap(heap.begin(), heap.end());
     }
   };
   absorb(seed);
@@ -109,19 +168,14 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
     best_cut = cut;
   }
   while (piece_size < limit && absorb_order.size() + 1 < group.size()) {
-    ObjectId best = -1;
-    double best_gain = -1.0;
-    for (ObjectId i : group) {
-      if (in_piece[i]) continue;
-      const double gain = attachment.count(i) ? attachment[i] : 0.0;
-      if (gain > best_gain ||
-          (gain == best_gain && best >= 0 &&
-           instance.object_size(i) > instance.object_size(best))) {
-        best = i;
-        best_gain = gain;
-      }
+    while (!heap.empty() && (scratch.in_piece[heap.front().local] ||
+                             heap.front().gain !=
+                                 scratch.attachment[heap.front().local])) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.pop_back();
     }
-    CCA_CHECK(best >= 0);
+    CCA_CHECK(!heap.empty());
+    const ObjectId best = heap.front().object;
     if (piece_size + instance.object_size(best) > limit) break;
     absorb(best);
     if (piece_size >= 0.45 * limit && (best_cut < 0.0 || cut < best_cut)) {
@@ -133,14 +187,24 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
   std::size_t prefix = best_cut >= 0.0 ? best_prefix : fallback_prefix;
   if (prefix == 0) prefix = 1;
 
+  // Leave the scratch as the next call expects: the piece drops out of
+  // the group, every other flag and attachment returns to zero.
+  for (std::size_t t = prefix; t < absorb_order.size(); ++t)
+    scratch.in_piece[local_of[absorb_order[t]]] = 0;
   std::vector<ObjectId> piece(absorb_order.begin(),
                               absorb_order.begin() +
                                   static_cast<std::ptrdiff_t>(prefix));
-  std::unordered_map<ObjectId, bool> chosen;
-  for (ObjectId i : piece) chosen[i] = true;
   std::vector<ObjectId> rest;
-  for (ObjectId i : group)
-    if (!chosen.count(i)) rest.push_back(i);
+  for (ObjectId i : group) {
+    const int li = local_of[i];
+    scratch.attachment[li] = 0.0;
+    if (scratch.in_piece[li]) {
+      scratch.in_piece[li] = 0;
+      scratch.in_group[li] = 0;
+    } else {
+      rest.push_back(i);
+    }
+  }
   CCA_CHECK(!rest.empty());
   return {std::move(piece), std::move(rest)};
 }
@@ -149,25 +213,16 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
 /// every object and moves it to the group holding most of its pair cost,
 /// capacity permitting. Peeling decides the coarse shape; this pass cleans
 /// up the objects the sweep absorbed just before/after a cut landed.
-void refine_groups(const CcaInstance& instance,
+void refine_groups(const CcaInstance& instance, const PairAdjacency& adj,
                    std::vector<int>& group_of, std::vector<double>& sizes,
                    double limit, int passes) {
-  // Per-object adjacency once (pairs with positive cost).
-  std::vector<std::vector<std::pair<ObjectId, double>>> adj(
-      static_cast<std::size_t>(instance.num_objects()));
-  for (const PairWeight& p : instance.pairs()) {
-    if (p.cost() <= 0.0) continue;
-    adj[p.i].push_back({p.j, p.cost()});
-    adj[p.j].push_back({p.i, p.cost()});
-  }
-
   std::unordered_map<int, double> attach;
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
     for (int i = 0; i < instance.num_objects(); ++i) {
-      if (adj[i].empty()) continue;
+      if (adj.of(i).empty()) continue;
       attach.clear();
-      for (const auto& [nbr, cost] : adj[i]) attach[group_of[nbr]] += cost;
+      for (const auto& [nbr, cost] : adj.of(i)) attach[group_of[nbr]] += cost;
       const int current = group_of[i];
       int best = current;
       double best_gain = attach.count(current) ? attach[current] : 0.0;
@@ -215,6 +270,12 @@ ComponentStructure find_components(const CcaInstance& instance) {
 
 PlacementGroups build_groups(const CcaInstance& instance,
                              const ComponentSolverOptions& options) {
+  auto& reg = common::MetricsRegistry::global();
+  static common::Timer& build_timer = reg.timer("core.components.build_groups");
+  static common::Timer& refine_timer = reg.timer("core.components.refine");
+  static common::Counter& piece_count = reg.counter("core.components.pieces");
+  const common::ScopedTimer timed(build_timer);
+
   const ComponentStructure cs = find_components(instance);
 
   PlacementGroups groups;
@@ -240,6 +301,12 @@ PlacementGroups build_groups(const CcaInstance& instance,
     groups.component_of_group.push_back(component);
   };
 
+  const PairAdjacency adj(instance);
+  std::vector<int> local_of(static_cast<std::size_t>(instance.num_objects()));
+  for (const std::vector<ObjectId>& members : cs.members)
+    for (std::size_t t = 0; t < members.size(); ++t)
+      local_of[members[t]] = static_cast<int>(t);
+
   // Peeling touches only its own component's objects and pairs, so
   // components run concurrently on the PR-1 pool; merging in component
   // order keeps group numbering (and everything downstream, including
@@ -254,24 +321,35 @@ PlacementGroups build_groups(const CcaInstance& instance,
             // object above the limit cannot be split further; it is
             // emitted whole and the capacity ablation reports the
             // resulting overload.
-            while (rest_size > limit && rest.size() >= 2) {
-              auto [piece, remainder] = peel_piece(instance, rest, limit);
-              for (ObjectId i : piece) rest_size -= instance.object_size(i);
-              pieces.push_back(std::move(piece));
-              rest = std::move(remainder);
+            if (rest_size > limit) {
+              PeelScratch scratch(rest.size());
+              while (rest_size > limit && rest.size() >= 2) {
+                auto [piece, remainder] = peel_piece(instance, adj, local_of,
+                                                     rest, limit, scratch);
+                for (ObjectId i : piece)
+                  rest_size -= instance.object_size(i);
+                pieces.push_back(std::move(piece));
+                rest = std::move(remainder);
+              }
             }
             pieces.push_back(std::move(rest));
             return pieces;
           });
-  for (int c = 0; c < cs.num_components(); ++c)
+  for (int c = 0; c < cs.num_components(); ++c) {
+    piece_count.add(static_cast<std::int64_t>(peeled[c].size()) - 1);
     for (std::vector<ObjectId>& piece : peeled[c]) emit(c, std::move(piece));
+  }
 
   // Boundary refinement over the peeled groups, then compaction.
   std::vector<int> group_of(static_cast<std::size_t>(instance.num_objects()),
                             -1);
   for (std::size_t g = 0; g < groups.members.size(); ++g)
     for (ObjectId i : groups.members[g]) group_of[i] = static_cast<int>(g);
-  refine_groups(instance, group_of, groups.sizes, limit, /*passes=*/3);
+  {
+    const common::ScopedTimer timed_refine(refine_timer);
+    refine_groups(instance, adj, group_of, groups.sizes, limit,
+                  /*passes=*/3);
+  }
 
   PlacementGroups refined;
   std::vector<int> new_index(groups.members.size(), -1);
@@ -296,6 +374,11 @@ PlacementGroups build_groups(const CcaInstance& instance,
 
 FractionalPlacement ComponentLpSolver::solve(
     const CcaInstance& instance) const {
+  return solve(instance, build_groups(instance, options_));
+}
+
+FractionalPlacement ComponentLpSolver::solve(
+    const CcaInstance& instance, const PlacementGroups& groups) const {
   CCA_CHECK_MSG(!instance.has_pins(),
                 "ComponentLpSolver requires a pin-free instance");
 
@@ -310,7 +393,6 @@ FractionalPlacement ComponentLpSolver::solve(
   // instance is fractionally feasible at all. With target_fill > 0 the
   // groups may be split components (see header): same machinery, no longer
   // the literal optimum.
-  const PlacementGroups groups = build_groups(instance, options_);
   const int C = static_cast<int>(groups.members.size());
   const int N = instance.num_nodes();
 

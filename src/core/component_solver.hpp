@@ -98,6 +98,12 @@ class ComponentLpSolver {
   /// non-degenerate) program in full.
   FractionalPlacement solve(const CcaInstance& instance) const;
 
+  /// Same, over `groups` already built by build_groups(instance, options)
+  /// with this solver's target_fill — for callers that need the groups
+  /// too and should not build them twice.
+  FractionalPlacement solve(const CcaInstance& instance,
+                            const PlacementGroups& groups) const;
+
  private:
   ComponentSolverOptions options_;
 };

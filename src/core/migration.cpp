@@ -78,8 +78,9 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   ComponentSolverOptions solver_options{config_.seed, config_.component_fill};
   solver_options.warm_cache =
       config_.warm_cache != nullptr ? config_.warm_cache : &own_cache_;
+  const PlacementGroups solver_groups = build_groups(instance, solver_options);
   const FractionalPlacement x =
-      ComponentLpSolver(solver_options).solve(instance);
+      ComponentLpSolver(solver_options).solve(instance, solver_groups);
   common::Rng rng(config_.seed ^ 0x1C9E3A7B5D2F4E6AULL);
   const RoundingResult fresh =
       round_best_of(x, instance, config_.rounding, rng);
@@ -90,7 +91,8 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   // target node.) Units must individually FIT the migration budget or
   // they can never be adopted, so the grouping for move units is re-cut
   // with a fill factor capped by the budget: a 10% byte budget needs
-  // pieces of at most 10% of total bytes.
+  // pieces of at most 10% of total bytes. When the cap does not bind, the
+  // solver's groups are the unit groups and are reused as built.
   const double budget =
       config_.migration_budget_fraction * instance.total_object_size();
   double min_capacity = instance.node_capacity(0);
@@ -102,7 +104,10 @@ IncrementalResult IncrementalOptimizer::reoptimize(
         std::min(unit_options.target_fill <= 0.0 ? 1.0
                                                  : unit_options.target_fill,
                  budget / min_capacity);
-  const PlacementGroups groups = build_groups(instance, unit_options);
+  const PlacementGroups groups =
+      unit_options.target_fill == solver_options.target_fill
+          ? solver_groups
+          : build_groups(instance, unit_options);
 
   Placement working = current;
   std::vector<double> loads = instance.node_loads(working);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
+#include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "core/component_solver.hpp"
 
 namespace cca::core {
@@ -66,6 +70,21 @@ TEST(BuildGroups, GroupsPartitionAllObjects) {
     ASSERT_EQ(groups.component_of_group.size(), groups.members.size());
     for (std::size_t g = 0; g < groups.members.size(); ++g)
       EXPECT_DOUBLE_EQ(groups.sizes[g], group_size(inst, groups.members[g]));
+  }
+}
+
+TEST(BuildGroups, PiecesCounterCountsPeeledPieces) {
+  // Fill 1.0 peels one clique off the 6-object component; fill 0.0 peels
+  // nothing.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& pieces = reg.counter("core.components.pieces");
+  const CcaInstance inst = two_cliques();
+  for (const auto& [fill, expected] : {std::pair{1.0, 1}, std::pair{0.0, 0}}) {
+    reg.set_enabled(true);
+    pieces.reset();
+    build_groups(inst, ComponentSolverOptions{1, fill});
+    reg.set_enabled(false);
+    EXPECT_EQ(pieces.total(), expected) << "fill " << fill;
   }
 }
 
@@ -146,6 +165,86 @@ TEST(BuildGroups, CutCostMatchesGroupAssignment) {
   for (const PairWeight& p : inst.pairs())
     if (group_of[p.i] != group_of[p.j]) expected += p.cost();
   EXPECT_DOUBLE_EQ(groups.cut_cost, expected);
+}
+
+TEST(BuildGroups, PeelTiesBreakByGroupOrder) {
+  // A star: centre 0 (the largest object, so the peel's seed) and leaves
+  // 1, 2 tied on attachment and size, plus leaf 3 tied on size but more
+  // weakly attached. A piece holds the centre and one leaf; of the tied
+  // leaves the earlier group member must join it, and refinement cannot
+  // swap them (the piece is full).
+  const CcaInstance inst({2.0, 1.0, 1.0, 1.0}, {3.0, 3.0},
+                         {{0, 1, 0.5, 2.0}, {0, 2, 0.5, 2.0},
+                          {0, 3, 0.25, 2.0}});
+  const PlacementGroups groups =
+      build_groups(inst, ComponentSolverOptions{1, 1.0});
+  ASSERT_EQ(groups.members.size(), 2u);
+  EXPECT_EQ(groups.members[0], (std::vector<ObjectId>{0, 1}));
+  EXPECT_EQ(groups.members[1], (std::vector<ObjectId>{2, 3}));
+}
+
+/// FNV-1a over everything build_groups returns: per group its member
+/// count and members, then component ids, then the bit patterns of the
+/// sizes and of the cut cost.
+std::uint64_t fnv1a(const PlacementGroups& groups) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  };
+  for (const auto& g : groups.members) {
+    mix(g.size());
+    for (ObjectId i : g) mix(static_cast<std::uint64_t>(i));
+  }
+  for (int c : groups.component_of_group) mix(static_cast<std::uint64_t>(c));
+  for (double s : groups.sizes) mix_double(s);
+  mix_double(groups.cut_cost);
+  return hash;
+}
+
+TEST(BuildGroups, GoldenGroupsHash) {
+  // Pins build_groups' exact output on one giant component: a 300-object
+  // chain plus random chords, with sizes and pair costs drawn from small
+  // sets so attachment and size ties are common. Speed work on the peel
+  // must leave every group unchanged; a deliberate behaviour change
+  // updates these constants and says why.
+  constexpr int kObjects = 300;
+  common::Rng rng(2024);
+  std::vector<double> sizes(kObjects);
+  for (double& s : sizes) s = static_cast<double>(1 + rng.next_below(3));
+  const auto pair = [&rng](int i, int j) {
+    return PairWeight{i, j, 0.25 * static_cast<double>(1 + rng.next_below(2)),
+                      static_cast<double>(1 << rng.next_below(3))};
+  };
+  std::vector<PairWeight> pairs;
+  for (int i = 0; i + 1 < kObjects; ++i) pairs.push_back(pair(i, i + 1));
+  for (int c = 0; c < 2 * kObjects; ++c) {
+    const int i = static_cast<int>(rng.next_below(kObjects));
+    const int j = static_cast<int>(rng.next_below(kObjects));
+    if (i != j) pairs.push_back(pair(i, j));
+  }
+  const CcaInstance inst(std::move(sizes), std::vector<double>(6, 110.0),
+                         std::move(pairs));
+  ASSERT_EQ(build_groups(inst, ComponentSolverOptions{1, 0.0}).members.size(),
+            1u);
+
+  const std::pair<double, std::uint64_t> golden[] = {
+      {1.0, 0xd84667fd6b717375ULL},
+      {0.5, 0x37134e159a6e8ae8ULL},
+      {0.1, 0xa22e4601f0aefb0bULL}};
+  for (const auto& [fill, hash] : golden) {
+    const PlacementGroups groups =
+        build_groups(inst, ComponentSolverOptions{1, fill});
+    EXPECT_GT(groups.members.size(), 1u) << "fill " << fill;
+    EXPECT_EQ(fnv1a(groups), hash) << "fill " << fill;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "core/migration.hpp"
 #include "core/placements.hpp"
@@ -67,6 +68,27 @@ TEST(Incremental, BudgetIsRespected) {
   EXPECT_LE(r.migration.bytes_moved, 1.0 + 1e-9);
   // One reunification is affordable and strictly improves.
   EXPECT_LT(r.cost, r.stale_cost);
+}
+
+TEST(Incremental, BuildsGroupsOnceWhenTheBudgetDoesNotCapTheFill) {
+  // Budget 1.0 leaves the unit fill at the solver's 1.0, so the LP's
+  // groups double as move units; budget 0.25 caps it at 0.25 and needs a
+  // second, finer grouping. The build_groups timer counts the builds.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Timer& builds = reg.timer("core.components.build_groups");
+  const CcaInstance inst = drifted_instance();
+  const Placement current{0, 1, 0, 1};
+  for (const auto& [budget, expected_builds] :
+       {std::pair{1.0, 1}, std::pair{0.25, 2}}) {
+    reg.set_enabled(true);
+    builds.reset();
+    const IncrementalResult r =
+        IncrementalOptimizer(config_with_budget(budget))
+            .reoptimize(inst, current);
+    reg.set_enabled(false);
+    EXPECT_EQ(builds.calls(), expected_builds) << "budget " << budget;
+    EXPECT_LT(r.cost, r.stale_cost) << "budget " << budget;
+  }
 }
 
 TEST(Incremental, SpendsBudgetOnTheMostValuableMove) {
