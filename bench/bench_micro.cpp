@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// primitives: MD5 hashing, Zipf sampling, posting-list intersection,
-// pair counting, component grouping, LP solves, and randomized rounding.
+// primitives: MD5 hashing, placement-map builds, Zipf sampling,
+// posting-list intersection, pair counting, component grouping, LP solves,
+// and randomized rounding.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -40,6 +41,24 @@ void BM_Md5Digest64(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5Digest64)->Arg(16)->Arg(64)->Arg(1024)->Arg(65536);
+
+// One epoch of a state.range(0)-keyword vocabulary on 16 nodes, every
+// tenth keyword pinned off its tail node: the hash tail of every keyword
+// is recomputed, so this row is almost all tail_node (MD5 of "kw<id>").
+void BM_PlacementMapBuild(benchmark::State& state) {
+  const auto vocab = static_cast<trace::KeywordId>(state.range(0));
+  core::PlacementMapConfig config;
+  config.num_nodes = 16;
+  std::vector<int> placement(vocab);
+  for (trace::KeywordId k = 0; k < vocab; ++k) {
+    const int tail = core::tail_node(config.hash_tail, k, config.num_nodes);
+    placement[k] = k % 10 == 0 ? (tail + 1) % config.num_nodes : tail;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::PlacementMap::build(placement, config));
+  }
+}
+BENCHMARK(BM_PlacementMapBuild)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   const common::ZipfSampler zipf(

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
             model.generate(cfg.queries, cfg.seed * 104729 + 2);
         const core::PartialOptimizer optimizer(
             january, tb.sizes, tb.optimizer_config(nodes, scope));
-        const core::CcaInstance& scoped = optimizer.scoped_instance();
+        const core::CcaInstance& scoped = optimizer.hyperedge_instance();
         const double lambda_total = scoped.total_connectivity_cost();
 
         std::vector<FrontierCell> cells;

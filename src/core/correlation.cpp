@@ -1,7 +1,7 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/lex_order.hpp"
@@ -82,35 +82,53 @@ std::vector<KeywordPairWeight> mine_pair_weights(
   return build_pair_weights(stream, index_sizes);
 }
 
-std::vector<KeywordHyperedge> build_hyperedges(
-    const trace::QueryTrace& trace) {
+QueryShapes::QueryShapes(const trace::QueryTrace& trace,
+                         common::FunctionRef<bool(const trace::Query&)> keep)
+    : rate_unit_(trace.empty() ? 0.0
+                               : 1.0 / static_cast<double>(trace.size())) {
+  for (const trace::Query& q : trace.queries()) {
+    if (!keep(q)) continue;
+    keywords_.insert(keywords_.end(), q.keywords.begin(), q.keywords.end());
+    CCA_CHECK_MSG(keywords_.size() <= UINT32_MAX,
+                  "query shapes exceed 2^32 keywords");
+    offsets_.push_back(static_cast<std::uint32_t>(keywords_.size()));
+  }
+}
+
+std::vector<QueryShapes::Edge> QueryShapes::aggregate() const {
   // Queries arrive with sorted distinct keywords (QueryTrace::add_query
-  // canonicalizes), so the keyword vector itself is the aggregation key.
-  // Sorting the multi-keyword queries by it and counting adjacent runs
-  // emits the edges sorted by pin set, into an exactly reserved vector.
-  std::vector<const trace::Query*> multi;
-  for (const trace::Query& q : trace.queries())
-    if (q.size() >= 2) multi.push_back(&q);
+  // canonicalizes), so the keyword sequence itself is the aggregation key.
+  // Sorting the shapes by it and counting adjacent runs emits the edges
+  // sorted by pin set, into an exactly reserved vector.
   const std::vector<std::size_t> order = common::lexicographic_order(
-      multi.size(), [&](std::size_t i) -> const std::vector<trace::KeywordId>& {
-        return multi[i]->keywords;
-      });
-  std::vector<KeywordHyperedge> out;
+      size(), [&](std::size_t q) { return shape(q); });
+  const auto same = [&](std::size_t x, std::size_t y) {
+    return std::ranges::equal(shape(order[x]), shape(order[y]));
+  };
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < order.size(); ++i)
-    if (i == 0 || multi[order[i]]->keywords != multi[order[i - 1]]->keywords)
-      ++distinct;
+    if (i == 0 || !same(i, i - 1)) ++distinct;
+  std::vector<Edge> out;
   out.reserve(distinct);
-  const double rate_unit =
-      trace.empty() ? 0.0 : 1.0 / static_cast<double>(trace.size());
   for (std::size_t i = 0; i < order.size();) {
-    const std::vector<trace::KeywordId>& pins = multi[order[i]]->keywords;
     std::size_t j = i + 1;
-    while (j < order.size() && multi[order[j]]->keywords == pins) ++j;
-    out.push_back(KeywordHyperedge{
-        pins, static_cast<double>(j - i) * rate_unit});
+    while (j < order.size() && same(j, i)) ++j;
+    out.push_back(
+        Edge{shape(order[i]), static_cast<double>(j - i) * rate_unit_});
     i = j;
   }
+  return out;
+}
+
+std::vector<KeywordHyperedge> build_hyperedges(
+    const trace::QueryTrace& trace) {
+  const QueryShapes shapes(
+      trace, [](const trace::Query& q) { return q.size() >= 2; });
+  const std::vector<QueryShapes::Edge> edges = shapes.aggregate();
+  std::vector<KeywordHyperedge> out;
+  out.reserve(edges.size());
+  for (const QueryShapes::Edge& e : edges)
+    out.push_back(KeywordHyperedge{{e.pins.begin(), e.pins.end()}, e.weight});
   return out;
 }
 

@@ -16,9 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "core/instance.hpp"
 #include "trace/pair_stats.hpp"
 #include "trace/stream_miner.hpp"
@@ -89,6 +91,43 @@ std::vector<KeywordPairWeight> mine_pair_weights(
 struct KeywordHyperedge {
   std::vector<trace::KeywordId> pins;  // distinct, sorted ascending
   double weight = 0.0;                 // empirical rate (queries / trace)
+};
+
+/// Selected query shapes of a trace, flattened into one array (CSR):
+/// shape q's keywords are keywords[offsets[q], offsets[q + 1]). The
+/// compact input of the hyperedge aggregation — a few bytes per keyword
+/// instead of one heap vector per query — so a caller can hold it until
+/// it decides whether to aggregate at all.
+class QueryShapes {
+ public:
+  /// A distinct shape and its rate: `pins` view into the owning
+  /// QueryShapes and are only valid while it lives.
+  struct Edge {
+    std::span<const trace::KeywordId> pins;
+    double weight = 0.0;
+  };
+
+  QueryShapes() = default;
+  /// The queries of `trace` that `keep` accepts, in trace order. Each
+  /// occurrence weighs 1 / trace.size(), so rates stay relative to the
+  /// whole trace whatever `keep` drops.
+  QueryShapes(const trace::QueryTrace& trace,
+              common::FunctionRef<bool(const trace::Query&)> keep);
+
+  /// The aggregation behind every hyperedge view: one edge per distinct
+  /// shape, weight = occurrences * rate unit, sorted by pin set.
+  std::vector<Edge> aggregate() const;
+
+ private:
+  std::size_t size() const { return offsets_.size() - 1; }
+  std::span<const trace::KeywordId> shape(std::size_t q) const {
+    return {keywords_.data() + offsets_[q],
+            keywords_.data() + offsets_[q + 1]};
+  }
+
+  std::vector<trace::KeywordId> keywords_;
+  std::vector<std::uint32_t> offsets_{0};
+  double rate_unit_ = 0.0;
 };
 
 /// Aggregates the trace's multi-keyword queries into weighted hyperedges:

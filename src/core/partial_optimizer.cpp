@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/check.hpp"
@@ -14,6 +15,9 @@ PartialOptimizer::PartialOptimizer(
     const std::vector<std::uint64_t>& index_sizes,
     PartialOptimizerConfig config)
     : config_(config), index_sizes_(index_sizes) {
+  static common::Timer& ctor_timer =
+      common::MetricsRegistry::global().timer("core.optimizer.ctor");
+  const common::ScopedTimer timer(ctor_timer);
   CCA_CHECK(config.num_nodes >= 1);
   CCA_CHECK(config.scope >= 1);
   CCA_CHECK_MSG(config.capacity_slack >= 1.0,
@@ -69,20 +73,43 @@ PartialOptimizer::PartialOptimizer(
   instance_ = std::make_unique<CcaInstance>(
       std::move(sizes), std::move(capacities), std::move(scoped_pairs));
 
-  // Whole-query view for the hypergraph strategy: each multi-keyword query
-  // shape becomes a hyperedge over its in-scope keywords. Out-of-scope
-  // pins are dropped (the hashed tail places them identically for every
-  // strategy); edges left with < 2 pins vanish inside set_hyperedges.
-  std::vector<Hyperedge> scoped_edges;
-  for (const KeywordHyperedge& e : build_hyperedges(trace)) {
-    Hyperedge scoped;
-    scoped.weight = e.weight;
-    for (const trace::KeywordId k : e.pins)
-      if (object_of_keyword_[k] >= 0)
-        scoped.pins.push_back(object_of_keyword_[k]);
-    if (scoped.pins.size() >= 2) scoped_edges.push_back(std::move(scoped));
-  }
-  instance_->set_hyperedges(std::move(scoped_edges));
+  // Raw material of the whole-query view, aggregated only if a strategy
+  // asks for it (hyperedge_instance()). A shape with fewer than two
+  // in-scope keywords scopes to no edge, and every copy of a shape scopes
+  // alike, so those queries are dropped here without changing any edge.
+  shapes_ = QueryShapes(trace, [&](const trace::Query& q) {
+    int in_scope = 0;
+    for (const trace::KeywordId k : q.keywords)
+      if (object_of_keyword_[k] >= 0 && ++in_scope == 2) return true;
+    return false;
+  });
+}
+
+const CcaInstance& PartialOptimizer::hyperedge_instance() const {
+  std::call_once(hyperedges_once_, [this] {
+    static common::Timer& timer =
+        common::MetricsRegistry::global().timer("core.optimizer.hyperedges");
+    const common::ScopedTimer scoped_timer(timer);
+    // Each distinct full query shape becomes a hyperedge over its in-scope
+    // keywords. Out-of-scope pins are dropped (the hashed tail places them
+    // identically for every strategy); shapes that scope to the same pin
+    // set merge inside set_hyperedges.
+    const std::vector<QueryShapes::Edge> edges = shapes_.aggregate();
+    std::vector<Hyperedge> scoped_edges;
+    scoped_edges.reserve(edges.size());
+    for (const QueryShapes::Edge& e : edges) {
+      Hyperedge scoped;
+      scoped.weight = e.weight;
+      for (const trace::KeywordId k : e.pins)
+        if (object_of_keyword_[k] >= 0)
+          scoped.pins.push_back(object_of_keyword_[k]);
+      scoped_edges.push_back(std::move(scoped));
+    }
+    hyperedge_instance_ = std::make_unique<CcaInstance>(*instance_);
+    hyperedge_instance_->set_hyperedges(std::move(scoped_edges));
+    shapes_ = QueryShapes();
+  });
+  return *hyperedge_instance_;
 }
 
 PlacementPlan PartialOptimizer::run(std::string_view strategy) const {

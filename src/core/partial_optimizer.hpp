@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,8 +104,16 @@ class PartialOptimizer {
   PlacementPlan run(std::string_view strategy) const;
 
   /// The scoped CCA instance a strategy optimizes (capacities already
-  /// reduced by the hashed tail's load). Useful for diagnostics/benches.
+  /// reduced by the hashed tail's load): objects, capacities and mined
+  /// pairs, no hyperedges. Useful for diagnostics/benches.
   const CcaInstance& scoped_instance() const { return *instance_; }
+
+  /// scoped_instance() plus the whole-query view: one hyperedge per
+  /// distinct multi-keyword query shape, over its in-scope keywords. Built
+  /// on the first call (once per optimizer, safe from any thread), so
+  /// only strategies that read hyperedges pay for them.
+  const CcaInstance& hyperedge_instance() const;
+
   const PartialOptimizerConfig& config() const { return config_; }
   const std::vector<KeywordPairWeight>& all_pairs() const { return pairs_; }
 
@@ -131,6 +140,11 @@ class PartialOptimizer {
   std::vector<double> tail_loads_;              // hashed tail bytes per node
   double capacity_ = 0.0;                       // slack * average load
   std::unique_ptr<CcaInstance> instance_;
+  // Multi-keyword queries with >= 2 in-scope keywords; released once
+  // hyperedge_instance() has aggregated them.
+  mutable QueryShapes shapes_;
+  mutable std::once_flag hyperedges_once_;
+  mutable std::unique_ptr<CcaInstance> hyperedge_instance_;
   mutable lp::WarmStartCache lp_warm_cache_;
 };
 

@@ -25,7 +25,8 @@ namespace cca::core {
 
 class PartialOptimizer;
 
-/// Computes a placement of `optimizer.scoped_instance()`. Implementations
+/// Computes a placement of `optimizer.scoped_instance()` (or of its
+/// `hyperedge_instance()`, for whole-query strategies). Implementations
 /// must be deterministic in the optimizer's config (seed included).
 using StrategyFn = std::function<Placement(const PartialOptimizer&)>;
 

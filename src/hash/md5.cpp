@@ -1,12 +1,17 @@
 #include "hash/md5.hpp"
 
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace cca::hash {
 
 namespace {
+
+constexpr std::array<std::uint32_t, 4> kInitialState = {
+    0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
 
 // Per-round left-rotate amounts (RFC 1321, Sec. 3.4).
 constexpr int kShift[64] = {
@@ -29,10 +34,6 @@ constexpr std::uint32_t kSine[64] = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
-std::uint32_t rotl(std::uint32_t x, int c) {
-  return (x << c) | (x >> (32 - c));
-}
-
 std::uint32_t load_le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -47,42 +48,55 @@ void store_le32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-}  // namespace
+// Operation I of RFC 1321 Sec. 3.4. The four working registers rotate
+// roles every step; instead of moving values, step I updates register
+// (4 - I % 4) % 4 in place and reads the other three in rotated order, so
+// the unrolled compress keeps all four in machine registers.
+template <int I>
+inline void step(std::uint32_t* v, const std::uint32_t* m) {
+  constexpr int t = (4 - I % 4) % 4;
+  std::uint32_t& a = v[t];
+  const std::uint32_t b = v[(t + 1) % 4];
+  const std::uint32_t c = v[(t + 2) % 4];
+  const std::uint32_t d = v[(t + 3) % 4];
+  const std::uint32_t f = [&] {
+    if constexpr (I < 16) return (b & c) | (~b & d);
+    else if constexpr (I < 32) return (d & b) | (~d & c);
+    else if constexpr (I < 48) return b ^ c ^ d;
+    else return c ^ (b | ~d);
+  }();
+  constexpr int g = I < 16   ? I
+                    : I < 32 ? (5 * I + 1) % 16
+                    : I < 48 ? (3 * I + 5) % 16
+                             : (7 * I) % 16;
+  a = b + std::rotl(a + f + kSine[I] + m[g], kShift[I]);
+}
 
-Md5::Md5() : a0_(0x67452301), b0_(0xefcdab89), c0_(0x98badcfe), d0_(0x10325476) {}
+template <std::size_t... I>
+inline void all_steps(std::uint32_t* v, const std::uint32_t* m,
+                      std::index_sequence<I...>) {
+  (step<static_cast<int>(I)>(v, m), ...);
+}
 
-void Md5::process_block(const std::uint8_t* block) {
+// One 64-byte block into `state`, all 64 steps unrolled at compile time.
+void compress(std::array<std::uint32_t, 4>& state, const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
-
-  std::uint32_t a = a0_, b = b0_, c = c0_, d = d0_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    f += a + kSine[i] + m[g];
-    a = d;
-    d = c;
-    c = b;
-    b += rotl(f, kShift[i]);
-  }
-  a0_ += a;
-  b0_ += b;
-  c0_ += c;
-  d0_ += d;
+  std::uint32_t v[4] = {state[0], state[1], state[2], state[3]};
+  all_steps(v, m, std::make_index_sequence<64>{});
+  for (int i = 0; i < 4; ++i) state[i] += v[i];
 }
+
+// Writes the message's bit length, little-endian, into 8 bytes.
+void store_bit_length(std::uint8_t* p, std::uint64_t byte_len) {
+  const std::uint64_t bit_len = byte_len * 8;
+  for (int i = 0; i < 8; ++i)
+    p[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+}
+
+}  // namespace
+
+Md5::Md5() : state_(kInitialState) {}
 
 void Md5::update(const void* data, std::size_t len) {
   CCA_CHECK_MSG(!finished_, "Md5::update after finish");
@@ -96,12 +110,12 @@ void Md5::update(const void* data, std::size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == 64) {
-      process_block(buffer_);
+      compress(state_, buffer_);
       buffer_len_ = 0;
     }
   }
   while (len >= 64) {
-    process_block(p);
+    compress(state_, p);
     p += 64;
     len -= 64;
   }
@@ -114,25 +128,17 @@ void Md5::update(const void* data, std::size_t len) {
 Md5::Digest Md5::finish() {
   if (finished_) return final_digest_;
 
-  const std::uint64_t bit_len = total_len_ * 8;
   // Padding: a single 0x80 byte then zeros until 8 bytes short of a block
-  // boundary, then the original bit length little-endian.
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0;
-  // `finished_` is still false, so these updates are legal; they also keep
-  // growing total_len_, which is fine since bit_len was latched above.
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  update(len_bytes, 8);
+  // boundary, then the original bit length little-endian — one update.
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t zeros_end = buffer_len_ < 56 ? 56 - buffer_len_
+                                                 : 120 - buffer_len_;
+  store_bit_length(pad + zeros_end, total_len_);
+  update(pad, zeros_end + 8);
   CCA_CHECK(buffer_len_ == 0);
 
-  store_le32(final_digest_.data() + 0, a0_);
-  store_le32(final_digest_.data() + 4, b0_);
-  store_le32(final_digest_.data() + 8, c0_);
-  store_le32(final_digest_.data() + 12, d0_);
+  for (int i = 0; i < 4; ++i)
+    store_le32(final_digest_.data() + 4 * i, state_[i]);
   finished_ = true;
   return final_digest_;
 }
@@ -155,9 +161,24 @@ std::string Md5::to_hex(const Digest& d) {
 }
 
 std::uint64_t Md5::digest64(std::string_view s) {
-  const Digest d = digest(s);
+  std::uint8_t bytes[8];
+  if (s.size() <= 55) {
+    // The whole padded message fits one block: compress it straight from
+    // the stack, with no context object and no buffering.
+    std::uint8_t block[64] = {};
+    std::memcpy(block, s.data(), s.size());
+    block[s.size()] = 0x80;
+    store_bit_length(block + 56, s.size());
+    std::array<std::uint32_t, 4> state = kInitialState;
+    compress(state, block);
+    store_le32(bytes, state[0]);
+    store_le32(bytes + 4, state[1]);
+  } else {
+    const Digest d = digest(s);
+    std::memcpy(bytes, d.data(), 8);
+  }
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | d[static_cast<std::size_t>(i)];
+  for (const std::uint8_t byte : bytes) v = (v << 8) | byte;
   return v;
 }
 

@@ -42,13 +42,12 @@ class Md5 {
   static std::string to_hex(const Digest& d);
 
   /// First 8 digest bytes as a big-endian uint64 — the paper's 8-byte
-  /// page-ID convention, also used for hash-mod-n placement.
+  /// page-ID convention, also used for hash-mod-n placement. Messages of
+  /// at most 55 bytes (keyword names, for one) take a one-block fast path.
   static std::uint64_t digest64(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block);
-
-  std::uint32_t a0_, b0_, c0_, d0_;
+  std::array<std::uint32_t, 4> state_;  // A, B, C, D
   std::uint64_t total_len_ = 0;         // message length in bytes
   std::uint8_t buffer_[64];             // partial block
   std::size_t buffer_len_ = 0;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -311,7 +312,7 @@ TEST(Hypergraph, GoldenPlacementHash) {
   // Data-layout and speed work must leave every move unchanged; a
   // deliberate behaviour change updates these constants and says why.
   const PartialOptimizer opt = make_optimizer(6.0, 5);
-  const CcaInstance& scoped = opt.scoped_instance();
+  const CcaInstance& scoped = opt.hyperedge_instance();
   std::size_t pins = 0;
   for (const Hyperedge& e : scoped.hyperedges()) pins += e.pins.size();
   ASSERT_GE(pins, 2000u);
@@ -336,7 +337,7 @@ TEST(Hypergraph, AllQueriesIdenticalStillPlaces) {
   cfg.num_nodes = 3;
   cfg.scope = 6;
   const PartialOptimizer opt(trace, sizes, cfg);
-  ASSERT_TRUE(opt.scoped_instance().has_hyperedges());
+  ASSERT_TRUE(opt.hyperedge_instance().has_hyperedges());
   const PlacementPlan plan = opt.run("hypergraph");
   EXPECT_EQ(plan.keyword_to_node[3], plan.keyword_to_node[1]);
   EXPECT_EQ(plan.keyword_to_node[5], plan.keyword_to_node[1]);
@@ -361,7 +362,7 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   // information that the hyperedge view keeps. Whole-query cost must not
   // be worse than multilevel's on the same pipeline.
   const PartialOptimizer opt = make_optimizer(4.0, 3);
-  const CcaInstance& scoped = opt.scoped_instance();
+  const CcaInstance& scoped = opt.hyperedge_instance();
   ASSERT_TRUE(scoped.has_hyperedges());
   const auto scoped_placement = [&](const PlacementPlan& plan) {
     Placement p(static_cast<std::size_t>(scoped.num_objects()));
@@ -376,6 +377,27 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   const double ml_lambda = scoped.connectivity_cost(scoped_placement(ml));
   EXPECT_LE(hg_lambda, ml_lambda + 1e-9);
   EXPECT_LT(hg_lambda, scoped.total_connectivity_cost());  // actually helps
+}
+
+TEST(PartialOptimizer, HyperedgeInstanceBuiltOnceAcrossThreads) {
+  // Concurrent first runs of the hypergraph strategy race to build the
+  // lazy whole-query view: exactly one build, seen whole by every thread.
+  const PartialOptimizer opt = make_optimizer(4.0, 9);
+  constexpr int kThreads = 4;
+  std::vector<PlacementPlan> plans(kThreads);
+  std::vector<const CcaInstance*> instances(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      plans[t] = opt.run("hypergraph");
+      instances[t] = &opt.hyperedge_instance();
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(plans[t].keyword_to_node, plans[0].keyword_to_node) << t;
+    EXPECT_EQ(instances[t], instances[0]) << t;
+  }
+  EXPECT_TRUE(instances[0]->has_hyperedges());
 }
 
 }  // namespace

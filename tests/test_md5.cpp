@@ -85,5 +85,29 @@ TEST(Md5, LongInputMatchesKnownDigest) {
   EXPECT_EQ(Md5::to_hex(md5.finish()), "7707d6ae4e027c70eea2a935c2296f21");
 }
 
+TEST(Md5, Digest64FastPathMatchesIncremental) {
+  // digest64 compresses messages of up to 55 bytes in one stack block;
+  // it must agree with the incremental context on every length around
+  // and past that boundary, and on the keyword names the hash tail uses.
+  const auto incremental64 = [](const std::string& s) {
+    Md5 md5;
+    for (const char ch : s) md5.update(&ch, 1);
+    const Md5::Digest d = md5.finish();
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v = (v << 8) | d[static_cast<std::size_t>(i)];
+    return v;
+  };
+  for (std::size_t len = 0; len <= 130; ++len) {
+    std::string s;
+    for (std::size_t i = 0; i < len; ++i)
+      s += static_cast<char>('!' + (i * 7 + len) % 90);
+    EXPECT_EQ(Md5::digest64(s), incremental64(s)) << "length " << len;
+  }
+  for (int id = 0; id < 20000; id += 37) {
+    const std::string name = "kw" + std::to_string(id);
+    EXPECT_EQ(Md5::digest64(name), incremental64(name)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace cca::hash

@@ -3,6 +3,9 @@
 // correlated workload (the paper's central comparison).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/check.hpp"
 #include "core/partial_optimizer.hpp"
 #include "trace/workload.hpp"
@@ -15,9 +18,11 @@ struct Workbench {
   std::vector<std::uint64_t> sizes;
 };
 
-Workbench make_workbench(std::size_t vocab = 1200, std::size_t queries = 20000) {
+Workbench make_workbench(std::size_t vocab = 1200, std::size_t queries = 20000,
+                         double mean_query_length = 2.54) {
   trace::WorkloadConfig cfg;
   cfg.vocabulary_size = vocab;
+  cfg.mean_query_length = mean_query_length;
   cfg.num_topics = 60;
   cfg.topic_size = 8;
   cfg.seed = 5;
@@ -172,6 +177,78 @@ TEST(PartialOptimizer, ScopeLargerThanVocabularyIsClamped) {
   const PartialOptimizer opt(wb.trace, wb.sizes, cfg);
   const PlacementPlan plan = opt.run("lprr");
   EXPECT_EQ(plan.scope.size(), 200u);
+}
+
+/// The eager whole-query view the optimizer constructor used to build:
+/// every multi-keyword shape aggregated over the full trace, scoped to the
+/// optimizer's objects, then canonicalized by set_hyperedges.
+CcaInstance eager_hyperedge_instance(const PartialOptimizer& opt,
+                                     const trace::QueryTrace& trace,
+                                     std::size_t vocab) {
+  std::vector<int> object(vocab, -1);
+  const std::vector<trace::KeywordId> scope = opt.run("random-hash").scope;
+  for (std::size_t pos = 0; pos < scope.size(); ++pos)
+    object[scope[pos]] = static_cast<int>(pos);
+  std::vector<Hyperedge> edges;
+  for (const KeywordHyperedge& e : build_hyperedges(trace)) {
+    Hyperedge scoped{{}, e.weight};
+    for (const trace::KeywordId k : e.pins)
+      if (object[k] >= 0) scoped.pins.push_back(object[k]);
+    if (scoped.pins.size() >= 2) edges.push_back(std::move(scoped));
+  }
+  CcaInstance reference = opt.scoped_instance();
+  reference.set_hyperedges(std::move(edges));
+  return reference;
+}
+
+void expect_same_hyperedges(const CcaInstance& actual,
+                            const CcaInstance& expected) {
+  ASSERT_EQ(actual.hyperedges().size(), expected.hyperedges().size());
+  for (std::size_t e = 0; e < actual.hyperedges().size(); ++e) {
+    const Hyperedge& a = actual.hyperedges()[e];
+    const Hyperedge& b = expected.hyperedges()[e];
+    ASSERT_EQ(a.pins, b.pins) << "edge " << e;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.weight),
+              std::bit_cast<std::uint64_t>(b.weight))
+        << "edge " << e;
+  }
+}
+
+TEST(PartialOptimizer, HyperedgeInstanceMatchesEagerBuild) {
+  for (const double qlen : {2.54, 4.0, 6.0}) {
+    SCOPED_TRACE(qlen);
+    const Workbench wb = make_workbench(600, 8000, qlen);
+    const PartialOptimizer opt(wb.trace, wb.sizes, base_config());
+    EXPECT_FALSE(opt.scoped_instance().has_hyperedges());
+    const CcaInstance& lazy = opt.hyperedge_instance();
+    ASSERT_TRUE(lazy.has_hyperedges());
+    EXPECT_EQ(lazy.pairs().size(), opt.scoped_instance().pairs().size());
+    expect_same_hyperedges(lazy,
+                           eager_hyperedge_instance(opt, wb.trace, 600));
+    EXPECT_EQ(&opt.hyperedge_instance(), &lazy);  // built once
+  }
+
+  // Three distinct full shapes scope down to the pin set {0, 1}: their
+  // rates merge, summed in the full shapes' order.
+  trace::QueryTrace trace(5);
+  for (int q = 0; q < 30; ++q) trace.add_query({0, 1, 2});
+  for (int q = 0; q < 20; ++q) trace.add_query({0, 1, 3});
+  for (int q = 0; q < 10; ++q) trace.add_query({0, 1});
+  trace.add_query({2, 3});
+  trace.add_query({4});
+  const std::vector<std::uint64_t> sizes{1000, 1000, 1, 1, 1};
+  PartialOptimizerConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.scope = 2;
+  cfg.operation_model = OperationModel::kAllPairs;
+  const PartialOptimizer opt(trace, sizes, cfg);
+  EXPECT_FALSE(opt.scoped_instance().has_hyperedges());
+  const CcaInstance& lazy = opt.hyperedge_instance();
+  ASSERT_EQ(lazy.hyperedges().size(), 1u);
+  EXPECT_EQ(lazy.hyperedges()[0].pins, (std::vector<ObjectId>{0, 1}));
+  const double unit = 1.0 / 62.0;
+  EXPECT_EQ(lazy.hyperedges()[0].weight, 10 * unit + 30 * unit + 20 * unit);
+  expect_same_hyperedges(lazy, eager_hyperedge_instance(opt, trace, 5));
 }
 
 }  // namespace

@@ -88,6 +88,23 @@ TEST(HashTail, TailNodeInRangeAndRuleSensitive) {
   EXPECT_TRUE(differs);  // the two rules really are different placements
 }
 
+TEST(PlacementMap, TailNodeGolden) {
+  // Pinned hash-tail nodes: a faster hash must leave every tail keyword
+  // where it was, under both rules and more than one cluster size.
+  const trace::KeywordId keywords[] = {0, 1, 7, 42, 999, 4095, 19999, 123456};
+  const int md5_7[] = {0, 6, 6, 4, 5, 1, 6, 3};
+  const int jump_7[] = {1, 1, 3, 3, 1, 2, 1, 4};
+  const int md5_16[] = {14, 5, 0, 12, 9, 5, 13, 4};
+  const int jump_16[] = {14, 10, 7, 12, 15, 14, 1, 8};
+  for (int i = 0; i < 8; ++i) {
+    const trace::KeywordId k = keywords[i];
+    EXPECT_EQ(tail_node(HashTail::kMd5, k, 7), md5_7[i]) << k;
+    EXPECT_EQ(tail_node(HashTail::kJump, k, 7), jump_7[i]) << k;
+    EXPECT_EQ(tail_node(HashTail::kMd5, k, 16), md5_16[i]) << k;
+    EXPECT_EQ(tail_node(HashTail::kJump, k, 16), jump_16[i]) << k;
+  }
+}
+
 // ---------- ReplicaSet ----------
 
 TEST(ReplicaSet, SingleIsUnboundedAndNeverEverywhere) {
