@@ -12,7 +12,9 @@
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "core/component_solver.hpp"
+#include "core/hypergraph.hpp"
 #include "core/lp_formulation.hpp"
+#include "core/partial_optimizer.hpp"
 #include "core/placement_map.hpp"
 #include "core/rounding.hpp"
 #include "hash/md5.hpp"
@@ -387,6 +389,31 @@ BENCHMARK(BM_BuildGroups)
     ->Arg(1000)
     ->Arg(4000)
     ->Unit(benchmark::kMillisecond);
+
+// The hypergraph strategy's partitioner alone, default options, on the
+// whole-query instance of a mean-length-6 pipeline (1000 scoped keywords,
+// 16 nodes). Its restarted V-cycles run on the pool, so this row reads
+// wall clock: compare it at CCA_THREADS=1 and 4.
+void BM_HypergraphPlacement(benchmark::State& state) {
+  trace::WorkloadConfig wcfg;
+  wcfg.vocabulary_size = 5000;
+  wcfg.num_topics = 400;
+  wcfg.topic_size = 8;
+  wcfg.mean_query_length = 6.0;
+  const trace::QueryTrace trace =
+      trace::WorkloadModel(wcfg).generate(40000, 7);
+  std::vector<std::uint64_t> sizes(wcfg.vocabulary_size);
+  for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 64 + k % 512;
+  core::PartialOptimizerConfig cfg;
+  cfg.num_nodes = 16;
+  cfg.scope = 1000;
+  const core::PartialOptimizer optimizer(trace, sizes, cfg);
+  const core::CcaInstance& instance = optimizer.hyperedge_instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::hypergraph_placement(instance));
+  }
+}
+BENCHMARK(BM_HypergraphPlacement)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_FullLpSolve(benchmark::State& state) {
   const core::CcaInstance instance =

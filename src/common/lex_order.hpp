@@ -14,6 +14,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace cca::common {
@@ -22,13 +23,18 @@ namespace cca::common {
 /// prefix first), equal sequences by ascending index. `seq(i)` returns a
 /// contiguous range of non-negative integers below 2^32 - 1. The first
 /// four elements are packed into two integer keys, so most comparisons
-/// never touch the sequences themselves.
-template <typename SeqFn>
-std::vector<std::size_t> lexicographic_order(std::size_t count, SeqFn seq) {
+/// never touch the sequences themselves. The result and the sort keys
+/// come from `alloc`.
+template <typename SeqFn, typename Alloc = std::allocator<std::size_t>>
+std::vector<std::size_t, Alloc> lexicographic_order(std::size_t count,
+                                                    SeqFn seq,
+                                                    const Alloc& alloc = {}) {
   struct Keyed {
     std::uint64_t head[2];
     std::size_t index;
   };
+  using KeyedAlloc =
+      typename std::allocator_traits<Alloc>::template rebind_alloc<Keyed>;
   // Element p shifted up by one so an absent element (0) sorts first.
   const auto pack = [](const auto& s, std::size_t p) {
     const auto at = [&](std::size_t q) -> std::uint64_t {
@@ -36,7 +42,7 @@ std::vector<std::size_t> lexicographic_order(std::size_t count, SeqFn seq) {
     };
     return at(p) << 32 | at(p + 1);
   };
-  std::vector<Keyed> keyed(count);
+  std::vector<Keyed, KeyedAlloc> keyed(count, KeyedAlloc(alloc));
   for (std::size_t i = 0; i < count; ++i) {
     const auto& s = seq(i);
     keyed[i] = {{pack(s, 0), pack(s, 2)}, i};
@@ -53,7 +59,7 @@ std::vector<std::size_t> lexicographic_order(std::size_t count, SeqFn seq) {
         x.begin() + skip, x.end(), y.begin() + skip, y.end());
     return order != 0 ? order < 0 : a.index < b.index;
   });
-  std::vector<std::size_t> order(count);
+  std::vector<std::size_t, Alloc> order(count, alloc);
   for (std::size_t i = 0; i < count; ++i) order[i] = keyed[i].index;
   return order;
 }

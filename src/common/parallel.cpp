@@ -107,22 +107,27 @@ bool ThreadPool::in_parallel_region() { return tls_in_parallel_region; }
 void ThreadPool::run_indexed(std::size_t count,
                              const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
-  // Nested or single-threaded: inline, zero synchronization. Exceptions
-  // propagate directly, which matches the lowest-index-first contract.
-  if (in_parallel_region() || num_threads_ <= 1 || count == 1) {
+  // Inline, zero synchronization. Exceptions propagate directly, which
+  // matches the lowest-index-first contract.
+  const auto run_inline = [&] {
     RegionGuard guard;
     for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
+  };
+  if (in_parallel_region() || num_threads_ <= 1 || count == 1)
+    return run_inline();  // nested or single-threaded
 
   auto batch = std::make_shared<Impl::Batch>();
   batch->count = count;
   batch->task = &task;
   batch->errors.resize(count);
   {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    CCA_CHECK_MSG(impl_->batch == nullptr,
-                  "concurrent top-level ThreadPool batches on one pool");
+    std::unique_lock<std::mutex> lock(impl_->mutex);
+    if (impl_->batch) {
+      // Another thread outside the pool owns the live batch. Results do
+      // not depend on who runs an index, so the caller runs this one.
+      lock.unlock();
+      return run_inline();
+    }
     impl_->batch = batch;
     ++impl_->batch_epoch;
   }

@@ -26,7 +26,9 @@
 // (sequentially) on the issuing thread. This keeps nested parallelism
 // deadlock-free and lets outer-level parallelism (bench grid cells) own
 // the hardware while inner levels (rounding trials, replay shards)
-// degrade gracefully.
+// degrade gracefully. Likewise, a batch submitted by a thread outside the
+// pool while another such thread's batch is live runs inline on its
+// caller, so concurrent top-level users never block or abort each other.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +55,8 @@ class ThreadPool {
   /// indices over the pool, and blocks until all are done. The first
   /// exception (by lowest index, for determinism) is rethrown on the
   /// calling thread after the batch drains. Reentrant calls from inside a
-  /// task run inline.
+  /// task, and calls made while another thread's batch is live, run
+  /// inline.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
 

@@ -6,12 +6,15 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/lex_order.hpp"
 #include "common/metrics.hpp"
+#include "common/page_allocator.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace cca::core {
@@ -21,19 +24,26 @@ namespace {
 /// Working hypergraph at one level of the multilevel hierarchy, in CSR
 /// form: net e's pins are pins[net_begin[e], net_begin[e+1]) and vertex
 /// v's incident nets are incident[inc_begin[v], inc_begin[v+1]), in
-/// ascending net order.
+/// ascending net order. The incidence lists are built only while a level
+/// is being coarsened or refined. The per-pin and per-net arrays are
+/// page-mapped: restarts build their levels concurrently on pool workers
+/// (see common/page_allocator.hpp).
 struct Hypergraph {
   int n = 0;
   std::vector<double> vweight;                // object bytes
   std::vector<std::optional<NodeId>> pin;     // placement pins (fixed node)
-  std::vector<int> pins;                      // nets' distinct vertices
-  std::vector<int> net_begin{0};
-  std::vector<double> eweight;                // net -> rate weight
-  std::vector<int> incident;                  // vertices' incident net ids
+  common::PagedVector<int> pins;              // nets' distinct vertices
+  common::PagedVector<int> net_begin{0};
+  common::PagedVector<double> eweight;        // net -> rate weight
+  common::PagedVector<int> incident;          // vertices' incident net ids
   std::vector<int> inc_begin;
 
   int num_nets() const { return static_cast<int>(eweight.size()); }
   int net_size(int e) const { return net_begin[e + 1] - net_begin[e]; }
+  /// Clique-expansion weight of each pin pair of net e: weight/(|e|-1).
+  double share(int e) const {
+    return eweight[e] / static_cast<double>(std::max(net_size(e) - 1, 1));
+  }
   std::span<const int> net(int e) const {
     return {pins.data() + net_begin[e], pins.data() + net_begin[e + 1]};
   }
@@ -56,6 +66,13 @@ struct Hypergraph {
     std::vector<int> next(inc_begin.begin(), inc_begin.end() - 1);
     for (int e = 0; e < num_nets(); ++e)
       for (int v : net(e)) incident[next[v]++] = e;
+  }
+
+  void drop_incidence() {
+    incident.clear();
+    incident.shrink_to_fit();
+    inc_begin.clear();
+    inc_begin.shrink_to_fit();
   }
 };
 
@@ -120,8 +137,7 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
     for (int e : g.nets_of(v)) {
       // Standard hyperedge-to-edge lowering: a k-pin net of weight w
       // contributes w / (k - 1) to each co-member pair.
-      const double contrib =
-          g.eweight[e] / static_cast<double>(g.net_size(e) - 1);
+      const double contrib = g.share(e);
       for (int u : g.net(e)) {
         if (u == v) continue;
         if (score[u] == 0.0) touched.push_back(u);
@@ -170,34 +186,48 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
   // single-pin nets, then merge nets whose coarse pin sets coincide.
   // Sorting by pin set and merging adjacent runs emits the merged nets in
   // lexicographic pin-set order and sums each run's weights in fine-net
-  // order, so the result is deterministic.
-  Hypergraph contracted;  // surviving nets in fine-net order, unmerged
-  std::vector<int> pins;
+  // order, so the result is deterministic. The surviving nets are kept in
+  // CSR form with the fine net each came from, not a weighted copy.
+  common::PagedVector<int> cpins;
+  cpins.reserve(g.pins.size());
+  common::PagedVector<int> cbegin{0};
+  common::PagedVector<int> source;
+  cbegin.reserve(static_cast<std::size_t>(g.num_nets()) + 1);
+  source.reserve(static_cast<std::size_t>(g.num_nets()));
   for (int e = 0; e < g.num_nets(); ++e) {
-    pins.clear();
-    for (int v : g.net(e)) pins.push_back(coarse_of[v]);
-    std::sort(pins.begin(), pins.end());
-    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-    if (pins.size() < 2) continue;  // contracted away
-    contracted.add_net(pins, g.eweight[e]);
+    const std::size_t first = cpins.size();
+    for (int v : g.net(e)) cpins.push_back(coarse_of[v]);
+    const auto begin = cpins.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(begin, cpins.end());
+    cpins.erase(std::unique(begin, cpins.end()), cpins.end());
+    if (cpins.size() - first < 2) {  // contracted away
+      cpins.resize(first);
+      continue;
+    }
+    cbegin.push_back(static_cast<int>(cpins.size()));
+    source.push_back(e);
   }
   const auto net = [&](std::size_t i) {
-    return contracted.net(static_cast<int>(i));
+    return std::span<const int>(cpins.data() + cbegin[i],
+                                cpins.data() + cbegin[i + 1]);
   };
-  const std::vector<std::size_t> by_pins =
-      common::lexicographic_order(contracted.eweight.size(), net);
-  coarse.pins.reserve(contracted.pins.size());
+  const common::PagedVector<std::size_t> by_pins = common::lexicographic_order(
+      source.size(), net, common::PageAllocator<std::size_t>());
+  // Reserved for the unmerged worst case: page-mapped storage leaves the
+  // untouched tail unbacked.
+  coarse.pins.reserve(cpins.size());
+  coarse.net_begin.reserve(source.size() + 1);
+  coarse.eweight.reserve(source.size());
   for (std::size_t i = 0; i < by_pins.size();) {
-    double weight = contracted.eweight[by_pins[i]];
+    double weight = g.eweight[source[by_pins[i]]];
     std::size_t j = i + 1;
     for (; j < by_pins.size() && std::ranges::equal(net(by_pins[j]),
                                                     net(by_pins[i]));
          ++j)
-      weight += contracted.eweight[by_pins[j]];
+      weight += g.eweight[source[by_pins[j]]];
     coarse.add_net(net(by_pins[i]), weight);
     i = j;
   }
-  coarse.build_incidence();
   return coarse;
 }
 
@@ -262,70 +292,59 @@ std::vector<NodeId> initial_partition(const Hypergraph& g,
   return part;
 }
 
-/// Per-net refinement state, one record per net so the gain loop reads
-/// one record per incident net: the net's weight, its co-member share
-/// weight/(|e|-1) (the clique-expansion weight of each pin pair), and the
-/// pin counts Phi(e,k) — pins of net e on node k — stored sparsely. Net
-/// e owns |e| slots from g.net_begin[e] on (enough for every node it can
-/// touch); the first lambda(e) hold one (node, count) pair per node the
-/// net touches, and a slot whose count drops to 0 is swap-removed, so
-/// walking a net's slots costs lambda(e), not N.
+/// Per-net refinement state: the pin counts Phi(e,k) — pins of net e on
+/// node k — stored sparsely. Net e owns |e| slots from g.net_begin[e] on
+/// (enough for every node it can touch); the first lambda(e) hold one
+/// (node, count) pair per node the net touches, and a slot whose count
+/// drops to 0 is swap-removed, so walking a net's slots costs lambda(e),
+/// not N. Weights and slot offsets are read from the hypergraph, leaving
+/// four bytes per net here.
 class NetState {
  public:
   struct Slot {
     NodeId node;
     int count;
   };
-  struct Net {
-    double weight;
-    double share;
-    int first;   // first slot
-    int lambda;  // live slots
-  };
 
   NetState(const Hypergraph& g, const std::vector<NodeId>& part)
-      : nets_(static_cast<std::size_t>(g.num_nets())), slots_(g.pins.size()) {
-    for (int e = 0; e < g.num_nets(); ++e) {
-      nets_[e] = {g.eweight[e],
-                  g.eweight[e] / static_cast<double>(
-                                     std::max(g.net_size(e) - 1, 1)),
-                  g.net_begin[e], 0};
-      for (int v : g.net(e)) add(nets_[e], part[v]);
-    }
+      : g_(g),
+        lambda_(static_cast<std::size_t>(g.num_nets()), 0),
+        slots_(g.pins.size()) {
+    for (int e = 0; e < g.num_nets(); ++e)
+      for (int v : g.net(e)) add(e, part[v]);
   }
 
-  const Net& net(int e) const { return nets_[e]; }
-
-  /// The nodes a net touches, with their pin counts, in no fixed order.
-  std::span<const Slot> slots(const Net& net) const {
-    return {slots_.data() + net.first, static_cast<std::size_t>(net.lambda)};
+  /// The nodes net e touches, with their pin counts, in no fixed order.
+  std::span<const Slot> slots(int e) const {
+    return {slots_.data() + g_.net_begin[e],
+            static_cast<std::size_t>(lambda_[e])};
   }
 
   /// Moves one of net e's pins from node `from` to node `to`.
   void move(int e, NodeId from, NodeId to) {
-    Net& net = nets_[e];
-    Slot* s = find(net, from);
-    if (--s->count == 0) *s = slots_[net.first + --net.lambda];
-    add(net, to);
+    Slot* s = find(e, from);
+    if (--s->count == 0) *s = slots_[g_.net_begin[e] + --lambda_[e]];
+    add(e, to);
   }
 
  private:
-  Slot* find(const Net& net, NodeId k) {
-    Slot* s = slots_.data() + net.first;
-    for (Slot* end = s + net.lambda; s < end; ++s)
+  Slot* find(int e, NodeId k) {
+    Slot* s = slots_.data() + g_.net_begin[e];
+    for (Slot* end = s + lambda_[e]; s < end; ++s)
       if (s->node == k) return s;
     return nullptr;
   }
 
-  void add(Net& net, NodeId k) {
-    if (Slot* s = find(net, k))
+  void add(int e, NodeId k) {
+    if (Slot* s = find(e, k))
       ++s->count;
     else
-      slots_[net.first + net.lambda++] = {k, 1};
+      slots_[g_.net_begin[e] + lambda_[e]++] = {k, 1};
   }
 
-  std::vector<Net> nets_;
-  std::vector<Slot> slots_;
+  const Hypergraph& g_;
+  common::PagedVector<int> lambda_;  // live slots per net
+  common::PagedVector<Slot> slots_;
 };
 
 /// FM-style single-vertex refinement of the lambda-1 objective under
@@ -378,15 +397,15 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
       std::fill(present.begin(), present.end(), 0.0);
       std::fill(aux.begin(), aux.end(), 0.0);
       for (int e : g.nets_of(v)) {
-        const NetState::Net& net = nets.net(e);
-        const double w = net.weight;
+        const double w = g.eweight[e];
+        const double share = g.share(e);
         total += w;
-        for (const auto& [k, count] : nets.slots(net)) {
+        for (const auto& [k, count] : nets.slots(e)) {
           if (k == current && count == 1) base += w;
           present[k] += w;
-          aux[k] += net.share * count;
+          aux[k] += share * count;
         }
-        aux[current] -= net.share;  // do not count v as its own co-member
+        aux[current] -= share;  // do not count v as its own co-member
       }
       NodeId best = current;
       double best_gain = 0.0;
@@ -429,10 +448,9 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         double base = 0.0, total = 0.0;
         std::fill(present.begin(), present.end(), 0.0);
         for (int e : g.nets_of(v)) {
-          const NetState::Net& net = nets.net(e);
-          const double w = net.weight;
+          const double w = g.eweight[e];
           total += w;
-          for (const auto& [t, count] : nets.slots(net)) {
+          for (const auto& [t, count] : nets.slots(e)) {
             if (t == k && count == 1) base += w;
             present[t] += w;
           }
@@ -497,8 +515,11 @@ double max_overflow(const Hypergraph& g, const std::vector<NodeId>& part,
 
 /// One multilevel V-cycle (coarsen, place, uncoarsen + refine) over the
 /// prebuilt base hypergraph, which serves as level 0 without a copy.
-/// Randomness comes from `rng`, so successive calls explore different
-/// matchings and refinement orders.
+/// Randomness comes from `rng` alone, so each restart's stream picks its
+/// own matchings and refinement orders. A coarse level is freed as soon
+/// as its partition has been projected to the level below: restarts run
+/// concurrently, and each holds only the levels it still needs, with
+/// incidence lists only on the level it is working on.
 std::vector<NodeId> run_vcycle(const Hypergraph& base,
                                const std::vector<double>& capacities,
                                double max_vertex_weight,
@@ -515,6 +536,8 @@ std::vector<NodeId> run_vcycle(const Hypergraph& base,
     std::vector<int> coarse_of;
     Hypergraph next = coarsen(finest, rng, max_vertex_weight, coarse_of);
     if (next.n >= finest.n) break;  // matching stalled
+    if (!coarse.empty()) coarse.back().drop_incidence();
+    next.build_incidence();
     maps.push_back(std::move(coarse_of));
     coarse.push_back(std::move(next));
   }
@@ -529,6 +552,9 @@ std::vector<NodeId> run_vcycle(const Hypergraph& base,
     std::vector<NodeId> fine_part(static_cast<std::size_t>(fine.n));
     for (int v = 0; v < fine.n; ++v) fine_part[v] = part[maps[l][v]];
     part = std::move(fine_part);
+    coarse.resize(l);  // keeps level(l) itself: coarse[l - 1] stays put
+    maps.resize(l);
+    if (l > 0) coarse[l - 1].build_incidence();
     refine(fine, capacities, part, options.refinement_passes, rng);
   }
   return part;
@@ -540,9 +566,6 @@ Placement hypergraph_placement(const CcaInstance& instance,
                                const HypergraphOptions& options) {
   CCA_CHECK(options.coarsen_to >= 2);
   CCA_CHECK(options.restarts >= 1);
-  // Named stream: one user seed drives multilevel AND hypergraph in the
-  // same bench process without replaying a shared random sequence.
-  common::Rng rng(common::named_stream_seed(options.seed, "core.hypergraph"));
   auto& reg = common::MetricsRegistry::global();
   static common::Counter& runs = reg.counter("core.hypergraph.runs");
   static common::Histogram& level_count =
@@ -560,25 +583,34 @@ Placement hypergraph_placement(const CcaInstance& instance,
 
   // Restarted V-cycles: heavy-edge matching is greedy and seed-sensitive,
   // so a handful of independent cycles scored on the EXACT objective is
-  // far more robust than any single tuned cycle. Restarts draw from one
-  // sequential rng stream, keeping the whole search deterministic per
-  // seed. Feasibility ranks above cost so an overflowing cycle never
-  // beats a feasible one.
-  std::vector<NodeId> best;
-  double best_cost = 0.0, best_over = 0.0;
-  for (int r = 0; r < options.restarts; ++r) {
-    std::vector<NodeId> part = run_vcycle(base, capacities, max_vertex_weight,
-                                          options, rng, level_count);
-    const double cost = lambda_cost(base, part);
-    const double over = max_overflow(base, part, capacities);
-    if (best.empty() || over < best_over - 1e-12 ||
-        (over < best_over + 1e-12 && cost < best_cost)) {
-      best = std::move(part);
-      best_cost = cost;
-      best_over = over;
-    }
-  }
-  return best;
+  // far more robust than any single tuned cycle. The cycles run on the
+  // pool, each from its own named stream "core.hypergraph.r<i>", so cycle
+  // i depends only on (seed, i): the result is the same for any thread
+  // count, and adding restarts never changes the earlier cycles.
+  struct Cycle {
+    std::vector<NodeId> part;
+    double cost = 0.0;
+    double over = 0.0;
+  };
+  const std::vector<Cycle> cycles = common::parallel_map(
+      static_cast<std::size_t>(options.restarts), [&](std::size_t r) {
+        common::Rng rng(common::named_stream_seed(
+            options.seed, "core.hypergraph.r" + std::to_string(r)));
+        Cycle cycle;
+        cycle.part = run_vcycle(base, capacities, max_vertex_weight, options,
+                                rng, level_count);
+        cycle.cost = lambda_cost(base, cycle.part);
+        cycle.over = max_overflow(base, cycle.part, capacities);
+        return cycle;
+      });
+  // Feasibility ranks above cost so an overflowing cycle never beats a
+  // feasible one; ties go to the lower restart index.
+  const Cycle* best = &cycles[0];
+  for (const Cycle& cycle : cycles)
+    if (cycle.over < best->over - 1e-12 ||
+        (cycle.over < best->over + 1e-12 && cycle.cost < best->cost))
+      best = &cycle;
+  return best->part;
 }
 
 double trace_lambda_cost(const trace::QueryTrace& trace,

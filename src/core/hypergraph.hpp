@@ -30,6 +30,9 @@
 //      For 2-pin nets lambda - 1 is the cut indicator, so on a pairwise
 //      instance this degenerates to a weighted graph partitioner.
 //
+// The restarted V-cycles run concurrently on the shared pool, one named
+// RNG stream each, and the best cycle on the exact objective wins.
+//
 // Pins and per-node capacities are honoured exactly like
 // multilevel_placement; when a node cannot be drained below capacity the
 // overflow spills deterministically and is surfaced through the
@@ -52,12 +55,15 @@ struct HypergraphOptions {
   /// nets the first sweep could not.
   int refinement_passes = 6;
   /// Independent V-cycles per run; the one with the best exact
-  /// lambda-minus-one cost (feasible first) wins. Heavy-edge matching is
-  /// greedy and seed-sensitive, so best-of-N is markedly more robust
-  /// than a single cycle.
+  /// lambda-minus-one cost (feasible first, ties to the lower index) wins.
+  /// Heavy-edge matching is greedy and seed-sensitive, so best-of-N is
+  /// markedly more robust than a single cycle. The cycles run
+  /// concurrently on the shared pool (common/parallel.hpp).
   int restarts = 4;
-  /// Seed for matching and tie-breaking order (routed through the
-  /// "core.hypergraph" named stream — see common/rng.hpp).
+  /// Seed for matching and tie-breaking order. Restart i draws from the
+  /// named stream "core.hypergraph.r<i>" (see common/rng.hpp), so it
+  /// depends only on (seed, i): the placement is the same for any thread
+  /// count, and raising `restarts` keeps every earlier cycle.
   std::uint64_t seed = 1;
 };
 

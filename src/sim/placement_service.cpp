@@ -93,48 +93,48 @@ std::vector<ChurnEvent> parse_churn_script(const std::string& script) {
 PlacementService::PlacementService(
     std::shared_ptr<const core::PlacementMap> initial) {
   CCA_CHECK(initial != nullptr);
-  current_.store(std::move(initial), std::memory_order_release);
+  current_ = std::move(initial);
 }
 
 std::shared_ptr<const core::PlacementMap> PlacementService::acquire() const {
-  return current_.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return current_;
 }
 
 void PlacementService::publish(
     std::shared_ptr<const core::PlacementMap> next) {
   CCA_CHECK(next != nullptr);
-  const auto current = acquire();
-  CCA_CHECK_MSG(next->epoch() > current->epoch(),
-                "publish must advance the epoch: current " << current->epoch()
-                                                           << ", published "
-                                                           << next->epoch());
-  const auto pool = pool_.load(std::memory_order_acquire);
-  if (pool)
-    CCA_CHECK_MSG(next->pool_version() == pool->version(),
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CCA_CHECK_MSG(next->epoch() > current_->epoch(),
+                "publish must advance the epoch: current "
+                    << current_->epoch() << ", published " << next->epoch());
+  if (pool_)
+    CCA_CHECK_MSG(next->pool_version() == pool_->version(),
                   "published epoch " << next->epoch()
                                      << " carries pool version "
                                      << next->pool_version()
                                      << ", installed pool map is version "
-                                     << pool->version());
-  current_.store(std::move(next), std::memory_order_release);
+                                     << pool_->version());
+  current_ = std::move(next);
 }
 
 void PlacementService::install_pool_map(std::shared_ptr<const PoolMap> pool) {
   CCA_CHECK(pool != nullptr);
-  const auto current = acquire();
-  CCA_CHECK_MSG(current->pool_version() == pool->version(),
-                "current epoch " << current->epoch()
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CCA_CHECK_MSG(current_->pool_version() == pool->version(),
+                "current epoch " << current_->epoch()
                                  << " carries pool version "
-                                 << current->pool_version()
+                                 << current_->pool_version()
                                  << ", installing pool map version "
                                  << pool->version()
                                  << " — rebuild the placement from the pool "
                                     "before installing it");
-  pool_.store(std::move(pool), std::memory_order_release);
+  pool_ = std::move(pool);
 }
 
 std::shared_ptr<const PoolMap> PlacementService::pool_map() const {
-  return pool_.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return pool_;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // The offline pipeline freezes one placement and replays against it; a
 // serving system keeps answering queries while nodes join and leave and a
 // background lane re-optimizes. PlacementService is the epoch holder: it
-// owns the current immutable core::PlacementMap behind an atomic
+// owns the current immutable core::PlacementMap behind a mutex-guarded
 // shared_ptr, so any number of replay shards acquire() the epoch they
 // start with and finish on it while publish() swaps in a successor.
 //
@@ -16,10 +16,10 @@
 // an empty script the run degenerates to exactly one offline replay.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,13 +58,14 @@ struct ChurnEvent {
 std::vector<ChurnEvent> parse_churn_script(const std::string& script);
 
 // ---------------------------------------------------------------------------
-// PlacementService: atomic epoch publication.
+// PlacementService: epoch publication.
 // ---------------------------------------------------------------------------
 
 /// Holds the current placement epoch. acquire() and publish() synchronize
-/// through one atomic shared_ptr (acquire/release): readers pin the epoch
-/// they started with — a published successor never mutates or frees a map
-/// an in-flight shard still resolves against.
+/// through one mutex-guarded shared_ptr, taken once per epoch or replay
+/// shard rather than per query: readers pin the epoch they started with —
+/// a published successor never mutates or frees a map an in-flight shard
+/// still resolves against.
 ///
 /// Optionally co-versions the failure-domain topology: when a PoolMap is
 /// installed, every published epoch must carry that pool's version
@@ -93,8 +94,11 @@ class PlacementService {
   std::uint64_t epoch() const { return acquire()->epoch(); }
 
  private:
-  std::atomic<std::shared_ptr<const core::PlacementMap>> current_;
-  std::atomic<std::shared_ptr<const PoolMap>> pool_;
+  // A plain mutex rather than std::atomic<std::shared_ptr>: libstdc++'s
+  // lock bit inside the atomic is invisible to ThreadSanitizer.
+  mutable std::mutex mutex_;
+  std::shared_ptr<const core::PlacementMap> current_;
+  std::shared_ptr<const PoolMap> pool_;
 };
 
 // ---------------------------------------------------------------------------

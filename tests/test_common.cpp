@@ -1,7 +1,9 @@
 // Foundations: PRNG determinism/uniformity, Zipf sampler shape, statistics,
-// table rendering, CLI parsing, check macros, lexicographic sequence order.
+// table rendering, CLI parsing, check macros, lexicographic sequence order,
+// page-mapped allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -9,6 +11,7 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/lex_order.hpp"
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -421,6 +424,48 @@ TEST(LexOrder, HandlesEmptyInputAndLargeValues) {
                   return seqs[i];
                 }),
             (std::vector<std::size_t>{2, 1, 3, 0}));
+}
+
+// ---------- page-mapped allocation ----------
+
+TEST(PageAllocator, VectorsBehaveAlikeAcrossTheMappingThreshold) {
+  // Growing past kMinMappedBytes moves the elements from an operator-new
+  // block into mapped pages; shrinking moves them back. Contents must
+  // survive both moves, and mapped blocks start zero-filled.
+  const std::size_t big = 2 * kMinMappedBytes / sizeof(int);
+  PagedVector<int> paged;
+  std::vector<int> plain;
+  for (std::size_t i = 0; i < big; ++i) {
+    paged.push_back(static_cast<int>(i * 7));
+    plain.push_back(static_cast<int>(i * 7));
+  }
+  EXPECT_TRUE(std::equal(paged.begin(), paged.end(), plain.begin(),
+                         plain.end()));
+  paged.resize(10);
+  paged.shrink_to_fit();
+  EXPECT_TRUE(std::equal(paged.begin(), paged.end(), plain.begin(),
+                         plain.begin() + 10));
+  const PagedVector<double> zeros(kMinMappedBytes / sizeof(double) + 1);
+  EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(),
+                          [](double x) { return x == 0.0; }));
+
+  // lexicographic_order draws its keys and result from the allocator
+  // given; the order itself must not change.
+  Rng rng(3);
+  std::vector<std::vector<int>> seqs(40000);
+  for (auto& seq : seqs) {
+    seq.resize(1 + rng.next_below(6));
+    for (int& x : seq) x = static_cast<int>(rng.next_below(50));
+  }
+  const auto seq = [&](std::size_t i) -> const std::vector<int>& {
+    return seqs[i];
+  };
+  const std::vector<std::size_t> expected =
+      lexicographic_order(seqs.size(), seq);
+  const PagedVector<std::size_t> order =
+      lexicographic_order(seqs.size(), seq, PageAllocator<std::size_t>());
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), expected.begin(),
+                         expected.end()));
 }
 
 }  // namespace

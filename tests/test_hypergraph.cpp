@@ -5,6 +5,7 @@
 // should scrutinise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -176,7 +177,8 @@ TEST(Hypergraph, RepairDrainsDeepOverloadsCompletely) {
   // cannot bin-pack, so levels end overloaded and the drain both evicts
   // (cheapest lambda increase first) and spills. The result must still
   // come out feasible, and the spill count is pinned so any change in
-  // which objects the drain picks shows up here.
+  // which objects the drain picks shows up here (last updated when each
+  // restart got its own named stream).
   common::MetricsRegistry& reg = common::MetricsRegistry::global();
   common::Counter& violations =
       reg.counter("core.hypergraph.capacity_violations");
@@ -208,7 +210,7 @@ TEST(Hypergraph, RepairDrainsDeepOverloadsCompletely) {
   const Placement p = hypergraph_placement(inst, options);
   reg.set_enabled(false);
   EXPECT_TRUE(inst.is_feasible(p));
-  EXPECT_EQ(violations.total(), 15);
+  EXPECT_EQ(violations.total(), 16);
 }
 
 TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
@@ -311,6 +313,8 @@ TEST(Hypergraph, GoldenPlacementHash) {
   // instance, through both the hyperedge path and the pairwise fallback.
   // Data-layout and speed work must leave every move unchanged; a
   // deliberate behaviour change updates these constants and says why.
+  // Last updated on purpose when each restart got its own named stream
+  // "core.hypergraph.r<i>" in place of one shared sequential stream.
   const PartialOptimizer opt = make_optimizer(6.0, 5);
   const CcaInstance& scoped = opt.hyperedge_instance();
   std::size_t pins = 0;
@@ -320,11 +324,82 @@ TEST(Hypergraph, GoldenPlacementHash) {
   HypergraphOptions options;
   options.seed = 5;
   EXPECT_EQ(fnv1a(hypergraph_placement(scoped, options)),
-            0x56adf77bd660a5a5ULL);
+            0xf05e74aa1eda9c25ULL);
   CcaInstance pairwise = scoped;
   pairwise.set_hyperedges({});
   EXPECT_EQ(fnv1a(hypergraph_placement(pairwise, options)),
-            0xf05e74aa1eda9c25ULL);
+            0x23bf6f06afce8925ULL);
+}
+
+TEST(Hypergraph, RestartsAreThreadCountInvariant) {
+  // Restarts run on the pool, one named stream each: the pick among them
+  // must not depend on how many threads ran the cycles.
+  const PartialOptimizer opt = make_optimizer(6.0, 5);
+  const CcaInstance& scoped = opt.hyperedge_instance();
+  for (const int restarts : {1, 3, 4, 5}) {
+    HypergraphOptions options;
+    options.seed = 5;
+    options.restarts = restarts;
+    common::set_global_threads(1);
+    const Placement baseline = hypergraph_placement(scoped, options);
+    for (const int threads : {2, 4}) {
+      common::set_global_threads(threads);
+      EXPECT_EQ(hypergraph_placement(scoped, options), baseline)
+          << "restarts=" << restarts << " threads=" << threads;
+    }
+  }
+  common::set_global_threads(0);
+}
+
+TEST(Hypergraph, MoreRestartsNeverWorse) {
+  // Restart i's stream does not depend on how many restarts ran before
+  // it, so running more restarts only adds candidates: the winner's
+  // (overflow, lambda cost) never gets worse as restarts grow. Random
+  // hyperedges over tight nodes, so the cycles disagree.
+  for (const std::uint64_t seed : {3, 4, 5}) {
+    common::Rng rng(seed);
+    const int n = 120;
+    std::vector<double> sizes(n);
+    double total = 0.0;
+    for (double& s : sizes) {
+      s = 1.0 + static_cast<double>(rng.next_below(3));
+      total += s;
+    }
+    CcaInstance inst(sizes, std::vector<double>(6, 1.1 * total / 6), {});
+    std::vector<Hyperedge> edges;
+    for (int e = 0; e < 400; ++e) {
+      Hyperedge edge;
+      const int k = 2 + static_cast<int>(rng.next_below(5));
+      for (int t = 0; t < k; ++t)
+        edge.pins.push_back(static_cast<int>(rng.next_below(n)));
+      edge.weight = 0.5 + rng.next_double();
+      edges.push_back(std::move(edge));
+    }
+    inst.set_hyperedges(std::move(edges));
+    double last_over = 0.0, last_cost = 0.0;
+    for (int restarts = 1; restarts <= 4; ++restarts) {
+      HypergraphOptions options;
+      options.coarsen_to = 8;
+      options.seed = seed;
+      options.restarts = restarts;
+      const Placement p = hypergraph_placement(inst, options);
+      const std::vector<double> loads = inst.node_loads(p);
+      double over = 0.0;
+      for (int k = 0; k < inst.num_nodes(); ++k)
+        over = std::max(over, loads[k] - inst.node_capacity(k));
+      const double cost = inst.connectivity_cost(p);
+      if (restarts > 1) {
+        EXPECT_LE(over, last_over + 1e-12)
+            << "seed=" << seed << " restarts=" << restarts;
+        if (over > last_over - 1e-12) {
+          EXPECT_LE(cost, last_cost * (1 + 1e-12))
+              << "seed=" << seed << " restarts=" << restarts;
+        }
+      }
+      last_over = over;
+      last_cost = cost;
+    }
+  }
 }
 
 TEST(Hypergraph, AllQueriesIdenticalStillPlaces) {
@@ -345,7 +420,7 @@ TEST(Hypergraph, AllQueriesIdenticalStillPlaces) {
 }
 
 TEST(Hypergraph, BitIdenticalAcrossThreadCounts) {
-  // The strategy itself is sequential, but it runs inside benches that
+  // The strategy runs its restarts on the pool, inside benches that
   // retune the global pool; the placement must not see the difference.
   const PlacementPlan baseline = make_optimizer(4.0, 9).run("hypergraph");
   for (const int threads : {1, 2, 8}) {

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -120,6 +121,34 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   });
   EXPECT_FALSE(common::ThreadPool::in_parallel_region());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ConcurrentTopLevelBatchesRunInline) {
+  // Two threads outside the pool submit batches at once: whichever finds
+  // the pool busy runs its batch inline instead of aborting, and both
+  // results match the sequential ones.
+  ThreadsGuard guard;
+  common::set_global_threads(4);
+  const auto work = [](std::size_t i) {
+    std::uint64_t x = i;
+    for (int step = 0; step < 20000; ++step)
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x;
+  };
+  std::vector<std::uint64_t> expected(64);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = work(i);
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::uint64_t>> results(2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      results[t] = common::parallel_map(64, work);
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(results[0], expected);
+  EXPECT_EQ(results[1], expected);
 }
 
 TEST(ParallelMap, ResultsLandInIndexOrder) {
