@@ -111,17 +111,23 @@ int main(int argc, char** argv) {
                               trace::StreamMiner* miner,
                               trace::PairCounter* counter) {
     std::size_t done = 0, batch_no = 0;
-    while (done < cfg.queries) {
+    const auto next_batch = [&](trace::QueryTrace& batch) {
+      if (done >= cfg.queries) return false;
       const std::size_t n = stream_batch > 0
                                 ? std::min(stream_batch, cfg.queries - done)
                                 : cfg.queries;
-      const trace::QueryTrace batch =
-          model.generate(n, month_seed + 1000003 * batch_no);
-      if (miner) miner->observe_trace(batch, trace::PairMode::kAllPairs);
-      if (counter) counter->accumulate_all_pairs(batch);
+      batch = model.generate(n, month_seed + 1000003 * batch_no);
       done += n;
       ++batch_no;
+      return true;
+    };
+    if (counter) {
+      *counter = trace::PairCounter::count_all_pairs_batched(next_batch);
+      return;
     }
+    trace::QueryTrace batch(0);
+    while (next_batch(batch))
+      miner->observe_trace(batch, trace::PairMode::kAllPairs);
   };
 
   // --- Mine both months with the selected miner. ---

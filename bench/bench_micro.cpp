@@ -1,17 +1,21 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: MD5 hashing, placement-map builds, Zipf sampling,
-// posting-list intersection, pair counting, component grouping, LP solves,
-// and randomized rounding.
+// posting-list intersection, pair counting, the trace front end (mining,
+// ranking, hyperedges, lexicographic order), component grouping, LP
+// solves, and randomized rounding.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/lex_order.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "core/component_solver.hpp"
+#include "core/correlation.hpp"
 #include "core/hypergraph.hpp"
 #include "core/lp_formulation.hpp"
 #include "core/partial_optimizer.hpp"
@@ -319,6 +323,84 @@ void BM_PairCounting(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PairCounting)->Arg(10000)->Arg(50000);
+
+// The trace front end at perfbench's shape: a 400k-query month over a
+// 20k-keyword vocabulary and 1000 topics, mean query length 2.54 or 6.
+struct FrontEndInputs {
+  trace::QueryTrace trace{0};
+  std::vector<std::uint64_t> sizes;
+};
+
+const FrontEndInputs& front_end_inputs(double mean_query_length) {
+  static std::map<double, FrontEndInputs> cache;
+  FrontEndInputs& in = cache[mean_query_length];
+  if (in.sizes.empty()) {
+    trace::WorkloadConfig wcfg;
+    wcfg.vocabulary_size = 20000;
+    wcfg.num_topics = 1000;
+    wcfg.topic_size = 8;
+    wcfg.mean_query_length = mean_query_length;
+    in.trace = trace::WorkloadModel(wcfg).generate(400000, 7919);
+    in.sizes.resize(wcfg.vocabulary_size);
+    for (std::size_t k = 0; k < in.sizes.size(); ++k)
+      in.sizes[k] = 64 + k % 512;
+  }
+  return in;
+}
+
+void BM_MinePairWeights(benchmark::State& state) {
+  const FrontEndInputs& in = front_end_inputs(2.54);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::mine_pair_weights(
+        in.trace, in.sizes, core::OperationModel::kSmallestPair, {}));
+  }
+}
+BENCHMARK(BM_MinePairWeights)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_ImportanceRanking(benchmark::State& state) {
+  const FrontEndInputs& in = front_end_inputs(2.54);
+  const auto pairs = core::mine_pair_weights(
+      in.trace, in.sizes, core::OperationModel::kSmallestPair, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::importance_ranking(pairs, in.sizes));
+  }
+}
+BENCHMARK(BM_ImportanceRanking)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The lazy whole-query view of a perfbench-shaped optimizer (16 nodes,
+// scope 4000) at mean query length 6; the constructor is untimed.
+void BM_HyperedgeInstance(benchmark::State& state) {
+  const FrontEndInputs& in = front_end_inputs(6.0);
+  core::PartialOptimizerConfig cfg;
+  cfg.num_nodes = 16;
+  cfg.scope = 4000;
+  cfg.capacity_slack = 2.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const core::PartialOptimizer optimizer(in.trace, in.sizes, cfg);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&optimizer.hyperedge_instance());
+  }
+}
+BENCHMARK(BM_HyperedgeInstance)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The sort behind every hyperedge aggregation, over the multi-keyword
+// queries of the mean-length-6 month.
+void BM_LexicographicOrder(benchmark::State& state) {
+  const FrontEndInputs& in = front_end_inputs(6.0);
+  std::vector<const std::vector<trace::KeywordId>*> shapes;
+  for (const trace::Query& q : in.trace.queries())
+    if (q.size() >= 2) shapes.push_back(&q.keywords);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(common::lexicographic_order(
+        shapes.size(),
+        [&](std::size_t i) -> const std::vector<trace::KeywordId>& {
+          return *shapes[i];
+        },
+        in.trace.vocabulary_size()));
+  }
+}
+BENCHMARK(BM_LexicographicOrder)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 core::CcaInstance bench_instance(int num_components, int objects_per_comp,
                                  int nodes) {

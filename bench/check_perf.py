@@ -5,8 +5,8 @@ Two modes:
 
   python3 check_perf.py <fresh.json>
       Schema check only: the dump has non-empty cells with the
-      queries/sec column and a data_plane section with both codec decode
-      rates.
+      simulated completion-rate column and a data_plane section with both
+      codec decode rates.
 
   python3 check_perf.py <fresh.json> --baseline <committed.json>
       Schema check plus the regression gate: the fresh block-codec
@@ -34,7 +34,7 @@ MIN_SPEEDUP = 2.0
 
 CELL_KEYS = {
     "arrival_qps", "strategy", "p50_ms", "p99_ms", "max_nic_util",
-    "queries_per_sec",
+    "sim_completion_qps",
 }
 DATA_PLANE_KEYS = {
     "codec_default", "block_decode_mbps", "varint_decode_mbps",
@@ -52,8 +52,8 @@ def load(path):
         missing = CELL_KEYS - set(cell)
         if missing:
             raise SystemExit(f"{path}: cell missing keys {sorted(missing)}")
-        if cell["queries_per_sec"] < 0:
-            raise SystemExit(f"{path}: negative queries/sec: {cell}")
+        if cell["sim_completion_qps"] < 0:
+            raise SystemExit(f"{path}: negative completion rate: {cell}")
     plane = dump.get("data_plane")
     if plane is None:
         raise SystemExit(f"{path}: no data_plane section")

@@ -1,11 +1,10 @@
 // Flat open-addressing u64 -> u64 counter map.
 //
-// The pair-correlation counter hammers a hash map with millions of
-// increments; std::unordered_map pays a heap node per distinct key and a
-// pointer chase per probe. This table stores key/count slots inline in one
-// power-of-two array with linear probing (SplitMix64-finalizer hashing),
-// which is both the single-thread speedup and the mergeable per-shard
-// accumulator the parallel counting path needs.
+// The sketch miner's candidate index and the decoded-block cache look up
+// and bump u64 keys at a high rate; std::unordered_map pays a heap node
+// per distinct key and a pointer chase per probe. This table stores
+// key/count slots inline in one power-of-two array with linear probing
+// (SplitMix64-finalizer hashing).
 //
 // Key restriction: the all-ones key (~0) is the empty-slot sentinel and
 // must not be inserted. Packed keyword pairs can never produce it (a pair
@@ -66,13 +65,6 @@ class FlatCounter64 {
   void for_each(Fn&& fn) const {
     for (const Slot& slot : slots_)
       if (slot.key != kEmptyKey) fn(slot.key, slot.count);
-  }
-
-  /// Adds every entry of `other` into this map (count-wise merge). Merging
-  /// is commutative and associative, so sharded accumulation is
-  /// deterministic in any merge order.
-  void merge(const FlatCounter64& other) {
-    other.for_each([this](std::uint64_t key, std::uint64_t c) { add(key, c); });
   }
 
  private:

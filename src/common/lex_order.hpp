@@ -11,57 +11,146 @@
 #pragma once
 
 #include <algorithm>
-#include <compare>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
+
+#include "common/check.hpp"
+#include "common/radix_sort.hpp"
 
 namespace cca::common {
 
+/// Record indices sorted by their sequences, cut into runs of equal
+/// sequences: the sort-and-merge aggregation's whole input.
+template <typename Alloc>
+struct LexOrder {
+  /// Indices ordered by sequence, equal sequences by ascending index.
+  std::vector<std::size_t, Alloc> order;
+  /// Group g, one distinct sequence, is order[group_begin[g],
+  /// group_begin[g + 1]); the last entry is order.size().
+  std::vector<std::size_t, Alloc> group_begin;
+
+  std::size_t groups() const { return group_begin.size() - 1; }
+
+  /// Calls fn(members) for each group in order; `members` are the group's
+  /// indices, ascending, so members.front() is its first record.
+  template <typename Fn>
+  void for_each_group(Fn fn) const {
+    for (std::size_t g = 0; g < groups(); ++g)
+      fn(std::span<const std::size_t>(order.data() + group_begin[g],
+                                      order.data() + group_begin[g + 1]));
+  }
+
+  /// Calls fn(first, sum) for each group in order: `first` is its first
+  /// record, `sum` adds weight(i) over its members in ascending index
+  /// order, the order a map keyed by sequence would have summed them in.
+  /// Aggregations that must stay bit-identical sum through here.
+  template <typename WeightFn, typename Fn>
+  void for_each_weighted_group(WeightFn weight, Fn fn) const {
+    for_each_group([&](std::span<const std::size_t> members) {
+      double sum = weight(members[0]);
+      for (std::size_t i = 1; i < members.size(); ++i)
+        sum += weight(members[i]);
+      fn(members[0], sum);
+    });
+  }
+};
+
 /// Indices [0, count) ordered by seq(i) lexicographically (a proper
-/// prefix first), equal sequences by ascending index. `seq(i)` returns a
-/// contiguous range of non-negative integers below 2^32 - 1. The first
-/// four elements are packed into two integer keys, so most comparisons
-/// never touch the sequences themselves. The result and the sort keys
-/// come from `alloc`.
+/// prefix first), equal sequences by ascending index, with the runs of
+/// equal sequences marked. `seq(i)` returns a contiguous range of
+/// integers in [0, bound), bound <= 2^32. As many leading elements as fit
+/// at the width `bound` needs are packed into one integer key and
+/// radix-sorted (common/radix_sort.hpp). A run of equal keys in which
+/// some sequence goes on is re-keyed on its next elements and sorted
+/// again, so sequences are read once per packed head, never compared
+/// element by element. The result, the keys and the sort's scratch come
+/// from `alloc`.
 template <typename SeqFn, typename Alloc = std::allocator<std::size_t>>
-std::vector<std::size_t, Alloc> lexicographic_order(std::size_t count,
-                                                    SeqFn seq,
-                                                    const Alloc& alloc = {}) {
+LexOrder<Alloc> lexicographic_order(std::size_t count, SeqFn seq,
+                                    std::uint64_t bound,
+                                    const Alloc& alloc = {}) {
+  CCA_CHECK_MSG(bound <= (std::uint64_t{1} << 32),
+                "sequence elements must stay below 2^32");
+  // Element p is stored shifted up by one so an absent element (0) sorts
+  // first, in `width` bits; `head` elements share one 64-bit key.
+  const int width = std::max(1, static_cast<int>(std::bit_width(bound)));
+  const std::size_t head = 64 / static_cast<std::size_t>(width);
+  const auto pack = [&](const auto& s, std::size_t from) {
+    std::uint64_t key = 0;
+    for (std::size_t p = from; p < from + head; ++p) {
+      std::uint64_t element = 0;
+      if (p < s.size()) {
+        element = static_cast<std::uint64_t>(s[p]);
+        CCA_CHECK_MSG(element < bound, "sequence element " << element
+                                                          << " >= bound "
+                                                          << bound);
+        ++element;
+      }
+      key = key << width | element;
+    }
+    return key;
+  };
+
+  // The length rides along, so runs of short sequences never go back
+  // to the sequences themselves.
+  CCA_CHECK_MSG(count <= UINT32_MAX, "more than 2^32 sequences");
   struct Keyed {
-    std::uint64_t head[2];
-    std::size_t index;
+    std::uint64_t key;
+    std::uint32_t index;
+    std::uint32_t size;  // saturated at 2^32 - 1
   };
   using KeyedAlloc =
       typename std::allocator_traits<Alloc>::template rebind_alloc<Keyed>;
-  // Element p shifted up by one so an absent element (0) sorts first.
-  const auto pack = [](const auto& s, std::size_t p) {
-    const auto at = [&](std::size_t q) -> std::uint64_t {
-      return q < s.size() ? static_cast<std::uint32_t>(s[q]) + 1ULL : 0ULL;
-    };
-    return at(p) << 32 | at(p + 1);
-  };
   std::vector<Keyed, KeyedAlloc> keyed(count, KeyedAlloc(alloc));
   for (std::size_t i = 0; i < count; ++i) {
     const auto& s = seq(i);
-    keyed[i] = {{pack(s, 0), pack(s, 2)}, i};
+    keyed[i] = {pack(s, 0), static_cast<std::uint32_t>(i),
+                static_cast<std::uint32_t>(
+                    std::min<std::size_t>(s.size(), UINT32_MAX))};
   }
-  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
-    if (a.head[0] != b.head[0]) return a.head[0] < b.head[0];
-    if (a.head[1] != b.head[1]) return a.head[1] < b.head[1];
-    // Equal heads: both share their first min(4, size) elements, and
-    // sequences shorter than four are then equal outright.
-    const auto& x = seq(a.index);
-    const auto& y = seq(b.index);
-    const std::size_t skip = std::min<std::size_t>(4, x.size());
-    const auto order = std::lexicographical_compare_three_way(
-        x.begin() + skip, x.end(), y.begin() + skip, y.end());
-    return order != 0 ? order < 0 : a.index < b.index;
-  });
-  std::vector<std::size_t, Alloc> order(count, alloc);
-  for (std::size_t i = 0; i < count; ++i) order[i] = keyed[i].index;
-  return order;
+  radix_sort(std::span<Keyed>(keyed), [](const Keyed& k) { return k.key; },
+             alloc);
+
+  // Every run of equal keys in a range shares the range's first `from`
+  // elements. It is one group unless some member goes on; then its
+  // members are re-keyed on the next head elements and sorted by
+  // (key, index), and the run is split the same way before the rest of
+  // the range (last in, first out), so groups come out in order.
+  LexOrder<Alloc> out{std::vector<std::size_t, Alloc>(alloc),
+                      std::vector<std::size_t, Alloc>(1, 0, alloc)};
+  struct Range {
+    std::size_t begin, end, from;
+  };
+  std::vector<Range> pending{{0, count, head}};
+  while (!pending.empty()) {
+    const Range range = pending.back();
+    pending.pop_back();
+    for (std::size_t i = range.begin; i < range.end;) {
+      std::size_t j = i + 1;
+      while (j < range.end && keyed[j].key == keyed[i].key) ++j;
+      const auto run = std::span<Keyed>(keyed).subspan(i, j - i);
+      if (run.size() > 1 && std::ranges::any_of(run, [&](const Keyed& k) {
+            return k.size > range.from;
+          })) {
+        for (Keyed& k : run) k.key = pack(seq(k.index), range.from);
+        std::ranges::sort(run, [](const Keyed& a, const Keyed& b) {
+          return a.key != b.key ? a.key < b.key : a.index < b.index;
+        });
+        pending.push_back({j, range.end, range.from});
+        pending.push_back({i, j, range.from + head});
+        break;
+      }
+      out.group_begin.push_back(j);
+      i = j;
+    }
+  }
+  out.order.resize(count);
+  for (std::size_t i = 0; i < count; ++i) out.order[i] = keyed[i].index;
+  return out;
 }
 
 }  // namespace cca::common

@@ -1,12 +1,23 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/lex_order.hpp"
+#include "common/parallel.hpp"
+#include "common/radix_sort.hpp"
 
 namespace cca::core {
+
+namespace {
+
+/// Queries per QueryShapes fill chunk (one pool task each).
+constexpr std::size_t kShapeFillGrain = 4096;
+
+}  // namespace
 
 trace::PairMode pair_mode_of(OperationModel model) {
   return model == OperationModel::kSmallestPair
@@ -84,46 +95,65 @@ std::vector<KeywordPairWeight> mine_pair_weights(
 
 QueryShapes::QueryShapes(const trace::QueryTrace& trace,
                          common::FunctionRef<bool(const trace::Query&)> keep)
-    : rate_unit_(trace.empty() ? 0.0
+    : vocabulary_(trace.vocabulary_size()),
+      rate_unit_(trace.empty() ? 0.0
                                : 1.0 / static_cast<double>(trace.size())) {
-  for (const trace::Query& q : trace.queries()) {
-    if (!keep(q)) continue;
-    keywords_.insert(keywords_.end(), q.keywords.begin(), q.keywords.end());
-    CCA_CHECK_MSG(keywords_.size() <= UINT32_MAX,
-                  "query shapes exceed 2^32 keywords");
-    offsets_.push_back(static_cast<std::uint32_t>(keywords_.size()));
+  // One pass over the trace fills a CSR per chunk on the pool; the chunks
+  // are then concatenated in trace order, so the result is the same for
+  // any thread count.
+  const std::vector<trace::Query>& queries = trace.queries();
+  const auto chunks = common::chunk_ranges(queries.size(), kShapeFillGrain);
+  struct Part {
+    std::vector<trace::KeywordId> keywords;
+    std::vector<std::uint32_t> ends;  // within the part
+  };
+  std::vector<Part> parts(chunks.size());
+  common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
+    Part& part = parts[c];
+    for (std::size_t q = chunks[c].first; q < chunks[c].second; ++q) {
+      if (queries[q].size() < 2 || !keep(queries[q])) continue;
+      const std::vector<trace::KeywordId>& keywords = queries[q].keywords;
+      part.keywords.insert(part.keywords.end(), keywords.begin(),
+                           keywords.end());
+      part.ends.push_back(static_cast<std::uint32_t>(part.keywords.size()));
+    }
+  });
+  std::size_t total_keywords = 0, total_shapes = 0;
+  for (const Part& part : parts) {
+    total_keywords += part.keywords.size();
+    total_shapes += part.ends.size();
+  }
+  CCA_CHECK_MSG(total_keywords <= UINT32_MAX,
+                "query shapes exceed 2^32 keywords");
+  keywords_.reserve(total_keywords);
+  offsets_.reserve(total_shapes + 1);
+  for (const Part& part : parts) {
+    const auto base = static_cast<std::uint32_t>(keywords_.size());
+    keywords_.insert(keywords_.end(), part.keywords.begin(),
+                     part.keywords.end());
+    for (const std::uint32_t end : part.ends) offsets_.push_back(base + end);
   }
 }
 
 std::vector<QueryShapes::Edge> QueryShapes::aggregate() const {
   // Queries arrive with sorted distinct keywords (QueryTrace::add_query
-  // canonicalizes), so the keyword sequence itself is the aggregation key.
-  // Sorting the shapes by it and counting adjacent runs emits the edges
-  // sorted by pin set, into an exactly reserved vector.
-  const std::vector<std::size_t> order = common::lexicographic_order(
-      size(), [&](std::size_t q) { return shape(q); });
-  const auto same = [&](std::size_t x, std::size_t y) {
-    return std::ranges::equal(shape(order[x]), shape(order[y]));
-  };
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < order.size(); ++i)
-    if (i == 0 || !same(i, i - 1)) ++distinct;
+  // canonicalizes), so the keyword sequence itself is the aggregation key:
+  // each run of equal shapes in lexicographic order is one edge, emitted
+  // sorted by pin set into an exactly reserved vector.
+  const auto sorted = common::lexicographic_order(
+      size(), [&](std::size_t q) { return shape(q); }, vocabulary_);
   std::vector<Edge> out;
-  out.reserve(distinct);
-  for (std::size_t i = 0; i < order.size();) {
-    std::size_t j = i + 1;
-    while (j < order.size() && same(j, i)) ++j;
-    out.push_back(
-        Edge{shape(order[i]), static_cast<double>(j - i) * rate_unit_});
-    i = j;
-  }
+  out.reserve(sorted.groups());
+  sorted.for_each_group([&](std::span<const std::size_t> members) {
+    out.push_back(Edge{shape(members.front()),
+                       static_cast<double>(members.size()) * rate_unit_});
+  });
   return out;
 }
 
 std::vector<KeywordHyperedge> build_hyperedges(
     const trace::QueryTrace& trace) {
-  const QueryShapes shapes(
-      trace, [](const trace::Query& q) { return q.size() >= 2; });
+  const QueryShapes shapes(trace, [](const trace::Query&) { return true; });
   const std::vector<QueryShapes::Edge> edges = shapes.aggregate();
   std::vector<KeywordHyperedge> out;
   out.reserve(edges.size());
@@ -135,41 +165,51 @@ std::vector<KeywordHyperedge> build_hyperedges(
 std::vector<trace::KeywordId> importance_ranking(
     const std::vector<KeywordPairWeight>& pairs,
     const std::vector<std::uint64_t>& index_sizes) {
-  // Pairs in descending communication cost r*w.
-  std::vector<const KeywordPairWeight*> order;
-  order.reserve(pairs.size());
-  for (const KeywordPairWeight& p : pairs) order.push_back(&p);
-  std::sort(order.begin(), order.end(),
-            [](const KeywordPairWeight* x, const KeywordPairWeight* y) {
-              if (x->cost() != y->cost()) return x->cost() > y->cost();
-              if (x->a != y->a) return x->a < y->a;
-              return x->b < y->b;
-            });
-
+  // Pairs in descending communication cost r*w, ties by (a, b): a stable
+  // sort by pair, then a stable sort by descending cost. A non-negative
+  // double's bit pattern orders like its value, so ~bits orders costs
+  // descending; a pair packs as a << width | b, width covering the ids.
   const std::size_t vocab = index_sizes.size();
+  const int width =
+      vocab > 2 ? std::min(32, static_cast<int>(std::bit_width(vocab - 1))) : 1;
+  struct Ranked {
+    std::uint64_t cost;  // ~bits of r*w
+    std::uint64_t pair;
+  };
+  std::vector<Ranked> order(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const KeywordPairWeight& p = pairs[i];
+    CCA_CHECK_MSG(p.cost() >= 0.0, "pair cost " << p.cost());
+    CCA_CHECK_MSG(p.a < vocab && p.b < vocab,
+                  "pair (" << p.a << ", " << p.b << ") outside the vocabulary");
+    order[i] = {~std::bit_cast<std::uint64_t>(p.cost() + 0.0),
+                std::uint64_t{p.a} << width | p.b};
+  }
+  common::radix_sort(std::span<Ranked>(order),
+                     [](const Ranked& p) { return p.pair; });
+  common::radix_sort(std::span<Ranked>(order),
+                     [](const Ranked& p) { return p.cost; });
+
   std::vector<bool> ranked(vocab, false);
   std::vector<trace::KeywordId> ranking;
   ranking.reserve(vocab);
-  for (const KeywordPairWeight* p : order) {
-    for (trace::KeywordId k : {p->a, p->b}) {
+  const std::uint64_t low_mask = (std::uint64_t{1} << width) - 1;
+  for (const Ranked& p : order) {
+    for (const std::uint64_t k : {p.pair >> width, p.pair & low_mask}) {
       if (!ranked[k]) {
         ranked[k] = true;
-        ranking.push_back(k);
+        ranking.push_back(static_cast<trace::KeywordId>(k));
       }
     }
   }
 
-  // Never-communicating keywords last, largest index first (they still
-  // matter for the capacity side of the placement).
+  // Never-communicating keywords last, largest index first, ties by id
+  // (they still matter for the capacity side of the placement).
   std::vector<trace::KeywordId> tail;
   for (std::size_t k = 0; k < vocab; ++k)
     if (!ranked[k]) tail.push_back(static_cast<trace::KeywordId>(k));
-  std::sort(tail.begin(), tail.end(),
-            [&](trace::KeywordId a, trace::KeywordId b) {
-              if (index_sizes[a] != index_sizes[b])
-                return index_sizes[a] > index_sizes[b];
-              return a < b;
-            });
+  common::radix_sort(std::span<trace::KeywordId>(tail),
+                     [&](trace::KeywordId k) { return ~index_sizes[k]; });
   ranking.insert(ranking.end(), tail.begin(), tail.end());
   return ranking;
 }

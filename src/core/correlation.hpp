@@ -38,7 +38,7 @@ enum class OperationModel {
 trace::PairMode pair_mode_of(OperationModel model);
 
 /// Which correlation miner feeds the pipeline.
-///   kExact  — PairCounter: one hash slot per distinct pair (exact counts,
+///   kExact  — PairCounter: one entry per distinct pair (exact counts,
 ///             memory grows with the pair vocabulary);
 ///   kSketch — StreamMiner: Count-Min pair sketch + bounded candidate set
 ///             (bounded memory, top-k recall ≥ the sketch's guarantee).
@@ -108,9 +108,10 @@ class QueryShapes {
   };
 
   QueryShapes() = default;
-  /// The queries of `trace` that `keep` accepts, in trace order. Each
-  /// occurrence weighs 1 / trace.size(), so rates stay relative to the
-  /// whole trace whatever `keep` drops.
+  /// The multi-keyword queries of `trace` that `keep` accepts, in trace
+  /// order. Each occurrence weighs 1 / trace.size(), so rates stay
+  /// relative to the whole trace whatever is dropped. `keep` runs on the
+  /// common::parallel pool.
   QueryShapes(const trace::QueryTrace& trace,
               common::FunctionRef<bool(const trace::Query&)> keep);
 
@@ -127,6 +128,7 @@ class QueryShapes {
 
   std::vector<trace::KeywordId> keywords_;
   std::vector<std::uint32_t> offsets_{0};
+  std::size_t vocabulary_ = 0;  // every keyword lies below it
   double rate_unit_ = 0.0;
 };
 

@@ -211,23 +211,19 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
     return std::span<const int>(cpins.data() + cbegin[i],
                                 cpins.data() + cbegin[i + 1]);
   };
-  const common::PagedVector<std::size_t> by_pins = common::lexicographic_order(
-      source.size(), net, common::PageAllocator<std::size_t>());
+  const auto by_pins = common::lexicographic_order(
+      source.size(), net, static_cast<std::uint64_t>(coarse.n),
+      common::PageAllocator<std::size_t>());
   // Reserved for the unmerged worst case: page-mapped storage leaves the
   // untouched tail unbacked.
   coarse.pins.reserve(cpins.size());
   coarse.net_begin.reserve(source.size() + 1);
   coarse.eweight.reserve(source.size());
-  for (std::size_t i = 0; i < by_pins.size();) {
-    double weight = g.eweight[source[by_pins[i]]];
-    std::size_t j = i + 1;
-    for (; j < by_pins.size() && std::ranges::equal(net(by_pins[j]),
-                                                    net(by_pins[i]));
-         ++j)
-      weight += g.eweight[source[by_pins[j]]];
-    coarse.add_net(net(by_pins[i]), weight);
-    i = j;
-  }
+  by_pins.for_each_weighted_group(
+      [&](std::size_t i) { return g.eweight[source[i]]; },
+      [&](std::size_t first, double weight) {
+        coarse.add_net(net(first), weight);
+      });
   return coarse;
 }
 

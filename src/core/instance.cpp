@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/lex_order.hpp"
@@ -60,44 +61,75 @@ void CcaInstance::add_resource(Resource resource) {
 }
 
 void CcaInstance::set_hyperedges(std::vector<Hyperedge> edges) {
-  // Canonicalize: sorted distinct pins, >= 2 of them, merged duplicates.
-  // Sorting the survivors by pin set and merging adjacent runs keeps the
-  // edges in pin-set order and sums duplicate weights in input order.
-  // The merged pins are copied into an exactly reserved vector so the
-  // long-lived edges sit together in the heap instead of among the freed
-  // inputs; keeping the moved-in vectors slowed later LP solves in the
-  // same process by about 20 % (serve-churn epoch swaps).
-  std::vector<Hyperedge> kept;
-  for (Hyperedge& e : edges) {
-    CCA_CHECK_MSG(e.weight >= 0.0 && std::isfinite(e.weight),
-                  "bad hyperedge weight " << e.weight);
-    std::sort(e.pins.begin(), e.pins.end());
-    e.pins.erase(std::unique(e.pins.begin(), e.pins.end()), e.pins.end());
-    for (ObjectId pin : e.pins)
-      CCA_CHECK_MSG(pin >= 0 && pin < num_objects(),
-                    "hyperedge pin " << pin << " outside [0, "
+  std::size_t total_pins = 0;
+  for (const Hyperedge& e : edges) total_pins += e.pins.size();
+  std::vector<ObjectId> pins;
+  std::vector<std::size_t> pins_begin{0};
+  std::vector<double> weights;
+  pins.reserve(total_pins);
+  pins_begin.reserve(edges.size() + 1);
+  weights.reserve(edges.size());
+  for (const Hyperedge& e : edges) {
+    pins.insert(pins.end(), e.pins.begin(), e.pins.end());
+    pins_begin.push_back(pins.size());
+    weights.push_back(e.weight);
+  }
+  edges = {};
+  set_hyperedges(std::move(pins), pins_begin, weights);
+}
+
+void CcaInstance::set_hyperedges(std::vector<ObjectId> pins,
+                                 std::span<const std::size_t> pins_begin,
+                                 std::span<const double> weights) {
+  CCA_CHECK(pins_begin.size() == weights.size() + 1 &&
+            pins_begin.front() == 0 && pins_begin.back() == pins.size());
+  // Canonicalize in place: sorted distinct pins, >= 2 of them, positive
+  // weight; the survivors are compacted to the front of `pins`.
+  std::vector<std::size_t> kept_begin{0};
+  std::vector<double> kept_weights;
+  for (std::size_t e = 0; e < weights.size(); ++e) {
+    CCA_CHECK_MSG(weights[e] >= 0.0 && std::isfinite(weights[e]),
+                  "bad hyperedge weight " << weights[e]);
+    const auto first =
+        pins.begin() + static_cast<std::ptrdiff_t>(pins_begin[e]);
+    const auto last =
+        pins.begin() + static_cast<std::ptrdiff_t>(pins_begin[e + 1]);
+    std::sort(first, last);
+    const auto distinct_end = std::unique(first, last);
+    for (auto pin = first; pin != distinct_end; ++pin)
+      CCA_CHECK_MSG(*pin >= 0 && *pin < num_objects(),
+                    "hyperedge pin " << *pin << " outside [0, "
                                      << num_objects() << ")");
-    if (e.pins.size() < 2 || e.weight <= 0.0) continue;
-    kept.push_back(std::move(e));
+    const auto size = static_cast<std::size_t>(distinct_end - first);
+    if (size < 2 || weights[e] <= 0.0) continue;
+    // Writes only land before `first`, on edges already read.
+    const std::size_t to = kept_begin.back();
+    if (to != pins_begin[e])
+      std::copy(first, distinct_end,
+                pins.begin() + static_cast<std::ptrdiff_t>(to));
+    kept_begin.push_back(to + size);
+    kept_weights.push_back(weights[e]);
   }
-  const std::vector<std::size_t> order = common::lexicographic_order(
-      kept.size(), [&](std::size_t i) -> const std::vector<ObjectId>& {
-        return kept[i].pins;
-      });
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < order.size(); ++i)
-    if (i == 0 || kept[order[i]].pins != kept[order[i - 1]].pins) ++distinct;
+  // Sorting the survivors by pin set and merging the runs keeps the edges
+  // in pin-set order and sums duplicate weights in input order. The
+  // merged pins are copied into exactly reserved vectors so the
+  // long-lived edges sit together in the heap instead of among freed
+  // inputs; keeping per-edge input vectors slowed later LP solves in the
+  // same process by about 20 % (serve-churn epoch swaps).
+  const auto edge = [&](std::size_t e) {
+    return std::span<const ObjectId>(pins.data() + kept_begin[e],
+                                     pins.data() + kept_begin[e + 1]);
+  };
+  const auto sorted = common::lexicographic_order(
+      kept_weights.size(), edge, static_cast<std::uint64_t>(num_objects()));
   hyperedges_.clear();
-  hyperedges_.reserve(distinct);
-  for (std::size_t i = 0; i < order.size();) {
-    const Hyperedge& first = kept[order[i]];
-    double weight = first.weight;
-    std::size_t j = i + 1;
-    for (; j < order.size() && kept[order[j]].pins == first.pins; ++j)
-      weight += kept[order[j]].weight;
-    hyperedges_.push_back(Hyperedge{first.pins, weight});
-    i = j;
-  }
+  hyperedges_.reserve(sorted.groups());
+  sorted.for_each_weighted_group(
+      [&](std::size_t e) { return kept_weights[e]; },
+      [&](std::size_t first, double weight) {
+        const std::span<const ObjectId> set = edge(first);
+        hyperedges_.push_back(Hyperedge{{set.begin(), set.end()}, weight});
+      });
 }
 
 double CcaInstance::connectivity_cost(const Placement& placement) const {

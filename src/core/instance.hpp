@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +98,13 @@ class CcaInstance {
   /// pin sets merge, weights summed. Pairwise `pairs()` stay untouched —
   /// strategies choose which view they optimize.
   void set_hyperedges(std::vector<Hyperedge> edges);
+  /// The same for edges given as one flat CSR: edge e has the pins
+  /// pins[pins_begin[e], pins_begin[e + 1]) and weight weights[e]. Spares
+  /// a caller with many small edges one heap vector per edge. Duplicate
+  /// pin sets sum their weights in input order.
+  void set_hyperedges(std::vector<ObjectId> pins,
+                      std::span<const std::size_t> pins_begin,
+                      std::span<const double> weights);
   const std::vector<Hyperedge>& hyperedges() const { return hyperedges_; }
   bool has_hyperedges() const { return !hyperedges_.empty(); }
 

@@ -15,8 +15,11 @@ PartialOptimizer::PartialOptimizer(
     const std::vector<std::uint64_t>& index_sizes,
     PartialOptimizerConfig config)
     : config_(config), index_sizes_(index_sizes) {
-  static common::Timer& ctor_timer =
-      common::MetricsRegistry::global().timer("core.optimizer.ctor");
+  auto& reg = common::MetricsRegistry::global();
+  static common::Timer& ctor_timer = reg.timer("core.optimizer.ctor");
+  static common::Timer& mine_timer = reg.timer("core.optimizer.mine");
+  static common::Timer& rank_timer = reg.timer("core.optimizer.rank");
+  static common::Timer& shapes_timer = reg.timer("core.optimizer.shapes");
   const common::ScopedTimer timer(ctor_timer);
   CCA_CHECK(config.num_nodes >= 1);
   CCA_CHECK(config.scope >= 1);
@@ -25,9 +28,15 @@ PartialOptimizer::PartialOptimizer(
   CCA_CHECK(index_sizes.size() >= trace.vocabulary_size());
   const std::size_t vocab = index_sizes.size();
 
-  pairs_ = mine_pair_weights(trace, index_sizes_, config.operation_model,
-                             config.miner);
-  ranking_ = importance_ranking(pairs_, index_sizes_);
+  {
+    const common::ScopedTimer mine(mine_timer);
+    pairs_ = mine_pair_weights(trace, index_sizes_, config.operation_model,
+                               config.miner);
+  }
+  {
+    const common::ScopedTimer rank(rank_timer);
+    ranking_ = importance_ranking(pairs_, index_sizes_);
+  }
   scope_.assign(ranking_.begin(),
                 ranking_.begin() +
                     std::min<std::size_t>(config.scope, ranking_.size()));
@@ -77,6 +86,7 @@ PartialOptimizer::PartialOptimizer(
   // asks for it (hyperedge_instance()). A shape with fewer than two
   // in-scope keywords scopes to no edge, and every copy of a shape scopes
   // alike, so those queries are dropped here without changing any edge.
+  const common::ScopedTimer shapes(shapes_timer);
   shapes_ = QueryShapes(trace, [&](const trace::Query& q) {
     int in_scope = 0;
     for (const trace::KeywordId k : q.keywords)
@@ -92,22 +102,33 @@ const CcaInstance& PartialOptimizer::hyperedge_instance() const {
     const common::ScopedTimer scoped_timer(timer);
     // Each distinct full query shape becomes a hyperedge over its in-scope
     // keywords. Out-of-scope pins are dropped (the hashed tail places them
-    // identically for every strategy); shapes that scope to the same pin
-    // set merge inside set_hyperedges.
-    const std::vector<QueryShapes::Edge> edges = shapes_.aggregate();
-    std::vector<Hyperedge> scoped_edges;
-    scoped_edges.reserve(edges.size());
-    for (const QueryShapes::Edge& e : edges) {
-      Hyperedge scoped;
-      scoped.weight = e.weight;
-      for (const trace::KeywordId k : e.pins)
-        if (object_of_keyword_[k] >= 0)
-          scoped.pins.push_back(object_of_keyword_[k]);
-      scoped_edges.push_back(std::move(scoped));
+    // identically for every strategy). Every kept shape has at least two
+    // in-scope keywords, so each scoped pin set is an edge.
+    std::vector<double> weights;
+    std::vector<ObjectId> pins;
+    std::vector<std::size_t> pins_begin{0};
+    {
+      const std::vector<QueryShapes::Edge> shapes = shapes_.aggregate();
+      std::size_t keywords = 0;
+      for (const QueryShapes::Edge& e : shapes) keywords += e.pins.size();
+      weights.reserve(shapes.size());
+      pins.reserve(keywords);
+      pins_begin.reserve(shapes.size() + 1);
+      for (const QueryShapes::Edge& e : shapes) {
+        for (const trace::KeywordId k : e.pins)
+          if (object_of_keyword_[k] >= 0)
+            pins.push_back(object_of_keyword_[k]);
+        pins_begin.push_back(pins.size());
+        weights.push_back(e.weight);
+      }
     }
-    hyperedge_instance_ = std::make_unique<CcaInstance>(*instance_);
-    hyperedge_instance_->set_hyperedges(std::move(scoped_edges));
+    // Released before the edges are allocated, so they can reuse the space.
     shapes_ = QueryShapes();
+    // Shapes that scope to one pin set merge, their weights summed in
+    // input order: the full shapes' lexicographic order, the order the
+    // eager build's weights were pinned in.
+    hyperedge_instance_ = std::make_unique<CcaInstance>(*instance_);
+    hyperedge_instance_->set_hyperedges(std::move(pins), pins_begin, weights);
   });
   return *hyperedge_instance_;
 }
@@ -123,6 +144,8 @@ PlacementPlan PartialOptimizer::run(std::string_view strategy) const {
   Placement scope_placement;
   {
     const common::ScopedTimer timer(strategy_timer);
+    const common::ScopedTimer named(
+        reg.timer("core.strategy." + std::string(strategy)));
     scope_placement = fn(*this);
   }
   const common::ScopedTimer timer(assemble_timer);

@@ -1,38 +1,71 @@
 #include "trace/pair_stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "common/radix_sort.hpp"
 
 namespace cca::trace {
 
 namespace {
 
-/// Queries per counting shard: pair extraction is a few nanoseconds per
-/// pair, so shards are sized to keep map-merge overhead well below the
-/// counting work.
-constexpr std::size_t kCountGrain = 4096;
+/// Queries per key-extraction chunk (one pool task each).
+constexpr std::size_t kExtractGrain = 4096;
+/// Pending keys below which a batched count never folds early.
+constexpr std::size_t kMinFold = std::size_t{1} << 16;
 
-/// Shards the trace, runs `count_chunk(query, shard_map)` over each
-/// shard's queries into a private flat map, and merges the shard maps.
-/// Counts are exact integer sums, so the merged result is identical for
-/// any thread count and shard size.
-template <typename CountQuery>
-common::FlatCounter64 sharded_count(const QueryTrace& trace,
-                                    const CountQuery& count_query) {
+/// Bits per keyword in the sort keys of a trace's pairs: the key of
+/// (i < j) is i << width | j, so the sort covers only the bits ids use.
+int pair_key_width(const QueryTrace& trace) {
+  const std::size_t vocab = trace.vocabulary_size();
+  return vocab > 2 ? std::min(32, static_cast<int>(std::bit_width(vocab - 1)))
+                   : 1;
+}
+
+/// Appends the packed pairs `emit` writes for each query of `trace` to
+/// `keys`, in trace order for any thread count: a first parallel pass
+/// sizes each chunk's share with `pairs_of`, a second writes each chunk
+/// at its prefix offset.
+template <typename PairsOf, typename Emit>
+void append_pair_keys(const QueryTrace& trace,
+                      std::vector<std::uint64_t>& keys,
+                      const PairsOf& pairs_of, const Emit& emit) {
   const std::vector<Query>& queries = trace.queries();
-  const auto chunks = common::chunk_ranges(queries.size(), kCountGrain);
-  std::vector<common::FlatCounter64> shards(chunks.size());
+  const auto chunks = common::chunk_ranges(queries.size(), kExtractGrain);
+  std::vector<std::size_t> offset(chunks.size() + 1, keys.size());
   common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
-    const auto [begin, end] = chunks[c];
-    for (std::size_t q = begin; q < end; ++q)
-      count_query(queries[q], shards[c]);
+    std::size_t pairs = 0;
+    for (std::size_t q = chunks[c].first; q < chunks[c].second; ++q)
+      pairs += pairs_of(queries[q]);
+    offset[c + 1] = pairs;
   });
-  common::FlatCounter64 merged;
-  for (const common::FlatCounter64& shard : shards) merged.merge(shard);
-  return merged;
+  for (std::size_t c = 0; c < chunks.size(); ++c) offset[c + 1] += offset[c];
+  keys.resize(offset.back());
+  common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
+    std::uint64_t* out = keys.data() + offset[c];
+    for (std::size_t q = chunks[c].first; q < chunks[c].second; ++q)
+      out = emit(queries[q], out);
+  });
+}
+
+std::size_t all_pairs_of(const Query& q) {
+  const std::size_t n = q.keywords.size();
+  return n * (n - 1) / 2;
+}
+
+/// Emits every pair of a query, keyed at `width` bits per keyword.
+auto emit_all_pairs(int width) {
+  return [width](const Query& q, std::uint64_t* out) {
+    // Keywords are sorted and distinct, so a < b orders each pair.
+    for (std::size_t a = 0; a < q.keywords.size(); ++a)
+      for (std::size_t b = a + 1; b < q.keywords.size(); ++b)
+        *out++ = std::uint64_t{q.keywords[a]} << width | q.keywords[b];
+    return out;
+  };
 }
 
 }  // namespace
@@ -48,26 +81,74 @@ KeywordPair unpack_pair(std::uint64_t packed) {
                      static_cast<KeywordId>(packed & 0xFFFFFFFFULL)};
 }
 
+void PairCounter::fold(std::vector<std::uint64_t>& keys, int width) {
+  if (keys.empty()) return;
+  common::radix_sort(std::span<std::uint64_t>(keys),
+                     [](std::uint64_t key) { return key; });
+  // Keys at `width` bits per keyword order like packed pairs.
+  const std::uint64_t low_mask = (std::uint64_t{1} << width) - 1;
+  const auto packed = [&](std::uint64_t key) {
+    return (key >> width) << 32 | (key & low_mask);
+  };
+  // Size the merge exactly (memory_bytes() reads capacity): the pairs
+  // held so far plus the distinct new ones.
+  std::size_t merged_size = keys_.size();
+  for (std::size_t i = 0, j = 0; j < keys.size(); ++j) {
+    if (j > 0 && keys[j] == keys[j - 1]) continue;
+    const std::uint64_t key = packed(keys[j]);
+    while (i < keys_.size() && keys_[i] < key) ++i;
+    if (i == keys_.size() || keys_[i] != key) ++merged_size;
+  }
+  // Merge the runs into the counts held so far (both ascending).
+  std::vector<std::uint64_t> merged_keys, merged_counts;
+  merged_keys.reserve(merged_size);
+  merged_counts.reserve(merged_size);
+  std::size_t i = 0;
+  for (std::size_t j = 0; i < keys_.size() || j < keys.size();) {
+    if (j == keys.size() || (i < keys_.size() && keys_[i] < packed(keys[j]))) {
+      merged_keys.push_back(keys_[i]);
+      merged_counts.push_back(counts_[i++]);
+      continue;
+    }
+    const std::size_t run_begin = j;
+    while (j < keys.size() && keys[j] == keys[run_begin]) ++j;
+    const std::uint64_t key = packed(keys[run_begin]);
+    std::uint64_t count = j - run_begin;
+    if (i < keys_.size() && keys_[i] == key) count += counts_[i++];
+    merged_keys.push_back(key);
+    merged_counts.push_back(count);
+  }
+  keys_ = std::move(merged_keys);
+  counts_ = std::move(merged_counts);
+  keys.clear();
+}
+
 PairCounter PairCounter::count_all_pairs(const QueryTrace& trace) {
   PairCounter counter;
   counter.num_queries_ = trace.size();
-  counter.counts_ =
-      sharded_count(trace, [](const Query& q, common::FlatCounter64& counts) {
-        for (std::size_t a = 0; a < q.keywords.size(); ++a)
-          for (std::size_t b = a + 1; b < q.keywords.size(); ++b)
-            counts.add(pack_pair(q.keywords[a], q.keywords[b]));
-      });
+  std::vector<std::uint64_t> keys;
+  const int width = pair_key_width(trace);
+  append_pair_keys(trace, keys, all_pairs_of, emit_all_pairs(width));
+  counter.fold(keys, width);
   return counter;
 }
 
-void PairCounter::accumulate_all_pairs(const QueryTrace& batch) {
-  num_queries_ += batch.size();
-  counts_.merge(
-      sharded_count(batch, [](const Query& q, common::FlatCounter64& counts) {
-        for (std::size_t a = 0; a < q.keywords.size(); ++a)
-          for (std::size_t b = a + 1; b < q.keywords.size(); ++b)
-            counts.add(pack_pair(q.keywords[a], q.keywords[b]));
-      }));
+PairCounter PairCounter::count_all_pairs_batched(
+    common::FunctionRef<bool(QueryTrace&)> next_batch) {
+  PairCounter counter;
+  // Batches may differ in vocabulary, so pending keys use the full width.
+  std::vector<std::uint64_t> pending;
+  QueryTrace batch(0);
+  while (next_batch(batch)) {
+    counter.num_queries_ += batch.size();
+    append_pair_keys(batch, pending, all_pairs_of, emit_all_pairs(32));
+    // A fold costs about the counts held so far: folding only once the
+    // pending keys outnumber them keeps the whole stream linear.
+    if (pending.size() >= std::max(counter.keys_.size(), kMinFold))
+      counter.fold(pending, 32);
+  }
+  counter.fold(pending, 32);
+  return counter;
 }
 
 PairCounter PairCounter::count_smallest_pair(
@@ -76,9 +157,13 @@ PairCounter PairCounter::count_smallest_pair(
                 "object_sizes does not cover the vocabulary");
   PairCounter counter;
   counter.num_queries_ = trace.size();
-  counter.counts_ = sharded_count(
-      trace, [&object_sizes](const Query& q, common::FlatCounter64& counts) {
-        if (q.keywords.size() < 2) return;
+  std::vector<std::uint64_t> keys;
+  const int width = pair_key_width(trace);
+  append_pair_keys(
+      trace, keys,
+      [](const Query& q) -> std::size_t { return q.keywords.size() >= 2; },
+      [&object_sizes, width](const Query& q, std::uint64_t* out) {
+        if (q.keywords.size() < 2) return out;
         // Find the two keywords with the smallest index sizes; ties broken
         // by keyword ID (keywords are sorted, so the first seen wins).
         KeywordId best = q.keywords[0], second = q.keywords[1];
@@ -92,56 +177,42 @@ PairCounter PairCounter::count_smallest_pair(
             second = k;
           }
         }
-        counts.add(pack_pair(best, second));
+        *out++ = std::uint64_t{std::min(best, second)} << width |
+                 std::max(best, second);
+        return out;
       });
+  counter.fold(keys, width);
   return counter;
 }
 
 std::uint64_t PairCounter::count(KeywordId i, KeywordId j) const {
-  return counts_.count(pack_pair(i, j));
+  const std::uint64_t key = pack_pair(i, j);
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  return it != keys_.end() && *it == key ? counts_[it - keys_.begin()] : 0;
 }
-
-namespace {
-
-bool pair_count_greater(const PairCount& a, const PairCount& b) {
-  if (a.count != b.count) return a.count > b.count;
-  if (a.pair.first != b.pair.first) return a.pair.first < b.pair.first;
-  return a.pair.second < b.pair.second;
-}
-
-}  // namespace
 
 std::vector<PairCount> PairCounter::sorted_pairs(
     std::uint64_t min_count) const {
   std::vector<PairCount> out;
-  out.reserve(counts_.size());
+  out.reserve(keys_.size());
   const double n = num_queries_ > 0 ? static_cast<double>(num_queries_) : 1.0;
-  counts_.for_each([&](std::uint64_t packed, std::uint64_t count) {
-    if (count < min_count) return;
-    out.push_back(PairCount{unpack_pair(packed), count,
-                            static_cast<double>(count) / n});
-  });
-  std::sort(out.begin(), out.end(), pair_count_greater);
+  std::uint64_t top = 0;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (counts_[i] < min_count) continue;
+    out.push_back(PairCount{unpack_pair(keys_[i]), counts_[i],
+                            static_cast<double>(counts_[i]) / n});
+    top = std::max(top, counts_[i]);
+  }
+  // The pairs arrive ascending; a stable sort by descending count keeps
+  // that order among equal counts.
+  common::radix_sort(std::span<PairCount>(out),
+                     [top](const PairCount& pc) { return top - pc.count; });
   return out;
 }
 
 std::vector<PairCount> PairCounter::top_pairs(std::size_t k) const {
-  std::vector<PairCount> out;
-  out.reserve(counts_.size());
-  const double n = num_queries_ > 0 ? static_cast<double>(num_queries_) : 1.0;
-  counts_.for_each([&](std::uint64_t packed, std::uint64_t count) {
-    out.push_back(PairCount{unpack_pair(packed), count,
-                            static_cast<double>(count) / n});
-  });
-  // Top-k selection: the comparator is a total order (count, then pair),
-  // so nth_element + head sort gives the same head a full sort would, at
-  // O(n + k log k) instead of O(n log n).
-  if (out.size() > k) {
-    std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
-                     out.end(), pair_count_greater);
-    out.resize(k);
-  }
-  std::sort(out.begin(), out.end(), pair_count_greater);
+  std::vector<PairCount> out = sorted_pairs();
+  if (out.size() > k) out.resize(k);
   return out;
 }
 

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_hash.hpp"
+#include "common/function_ref.hpp"
 #include "trace/trace.hpp"
 
 namespace cca::trace {
@@ -36,10 +36,10 @@ struct PairCount {
   double probability = 0.0;
 };
 
-/// Co-occurrence counter. Counting shards the trace across the
-/// common::parallel pool with one flat open-addressing map per shard,
-/// merged after the join; counts are exact integer sums, so results are
-/// identical for any thread count.
+/// Co-occurrence counter. Counting extracts one packed key per counted
+/// pair on the common::parallel pool, radix-sorts the keys and counts the
+/// runs (common/radix_sort.hpp): the counter is the sorted distinct pairs
+/// with their counts, identical for any thread count.
 class PairCounter {
  public:
   /// Counts every unordered keyword pair of every query — the paper's
@@ -53,30 +53,37 @@ class PairCounter {
   static PairCounter count_smallest_pair(
       const QueryTrace& trace, const std::vector<std::uint64_t>& object_sizes);
 
-  /// Incremental counting: folds another batch of queries into this
-  /// counter (all-pairs mode). Lets callers that generate or read traces
-  /// in batches count arbitrarily long streams without ever materializing
-  /// the full trace; equivalent to count_all_pairs on the concatenation.
-  void accumulate_all_pairs(const QueryTrace& batch);
+  /// count_all_pairs over a stream of batches, without ever materializing
+  /// the whole trace: `next_batch` fills its argument with the next batch
+  /// and returns false once the stream is done. Equivalent to
+  /// count_all_pairs on the concatenation.
+  static PairCounter count_all_pairs_batched(
+      common::FunctionRef<bool(QueryTrace&)> next_batch);
 
   std::uint64_t count(KeywordId i, KeywordId j) const;
-  std::size_t distinct_pairs() const { return counts_.size(); }
+  std::size_t distinct_pairs() const { return keys_.size(); }
   std::size_t num_queries() const { return num_queries_; }
-  /// Bytes held by the counting table — the exact miner's footprint, for
+  /// Bytes held by the counts — the exact miner's footprint, for
   /// apples-to-apples comparison with StreamMiner::memory_bytes().
-  std::size_t memory_bytes() const { return counts_.memory_bytes(); }
+  std::size_t memory_bytes() const {
+    return (keys_.capacity() + counts_.capacity()) * sizeof(std::uint64_t);
+  }
 
   /// All pairs sorted by descending count (ties by pair), with empirical
   /// probabilities. `min_count` drops noise pairs.
   std::vector<PairCount> sorted_pairs(std::uint64_t min_count = 1) const;
 
-  /// The `k` most frequent pairs (or all, if fewer exist). Top-k
-  /// selection (nth_element + sort of the head), not a full sort — this
-  /// runs per compare_stability call.
+  /// The `k` most frequent pairs (or all, if fewer exist): the head of
+  /// sorted_pairs().
   std::vector<PairCount> top_pairs(std::size_t k) const;
 
  private:
-  common::FlatCounter64 counts_;
+  /// Sorts `keys` (one per pair occurrence, i << width | j), counts their
+  /// runs and merges them into the counts; empties `keys`.
+  void fold(std::vector<std::uint64_t>& keys, int width);
+
+  std::vector<std::uint64_t> keys_;    // distinct packed pairs, ascending
+  std::vector<std::uint64_t> counts_;  // counts_[i] counts keys_[i]
   std::size_t num_queries_ = 0;
 };
 

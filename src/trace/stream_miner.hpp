@@ -1,6 +1,6 @@
 // Streaming, bounded-memory correlation mining.
 //
-// The exact PairCounter holds one hash slot per distinct co-occurring
+// The exact PairCounter holds one entry per distinct co-occurring
 // pair, so its footprint grows with the trace's pair vocabulary — fine at
 // bench scale, prohibitive at the million-object workloads the roadmap
 // targets (Sec. 4.2 only ever needs the top-k objects and pairs anyway).
@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_hash.hpp"
 #include "trace/pair_stats.hpp"
 #include "trace/trace.hpp"
 

@@ -12,6 +12,8 @@
 #include "common/cli.hpp"
 #include "common/lex_order.hpp"
 #include "common/page_allocator.hpp"
+#include "common/parallel.hpp"
+#include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -382,13 +384,72 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+// ---------- radix sort ----------
+
+TEST(RadixSort, StableAndThreadCountInvariantAcrossChunks) {
+  // Several chunks of records whose keys vary only in a high, narrow bit
+  // range (so the digits start above bit 0) and tie often: the result
+  // must be std::stable_sort's, at every thread count.
+  struct Record {
+    std::uint64_t key;
+    std::size_t index;
+  };
+  Rng rng(11);
+  std::vector<Record> input(3 * kRadixChunk + 17);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = {(rng.next_below(3000) << 41) | 0x5, i};
+  std::vector<Record> expected = input;
+  std::ranges::stable_sort(expected, {}, &Record::key);
+  for (const int threads : {1, 2, 4}) {
+    set_global_threads(threads);
+    std::vector<Record> sorted = input;
+    radix_sort(std::span<Record>(sorted),
+               [](const Record& r) { return r.key; });
+    EXPECT_TRUE(std::ranges::equal(sorted, expected, {}, &Record::index,
+                                   &Record::index))
+        << threads << " threads";
+  }
+  set_global_threads(0);
+
+  // Full-width keys, equal keys, and the trivial sizes.
+  std::vector<std::uint64_t> keys{~0ULL, 0, 1ULL << 63, 7, ~0ULL, 7};
+  radix_sort(std::span<std::uint64_t>(keys),
+             [](std::uint64_t k) { return k; });
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{0, 7, 7, 1ULL << 63, ~0ULL,
+                                              ~0ULL}));
+  std::vector<std::uint64_t> one{5};
+  radix_sort(std::span<std::uint64_t>(one), [](std::uint64_t k) { return k; });
+  EXPECT_EQ(one, std::vector<std::uint64_t>{5});
+  radix_sort(std::span<std::uint64_t>(), [](std::uint64_t k) { return k; });
+}
+
 // ---------- lexicographic order ----------
+
+/// Checks lexicographic_order against a std::map keyed by the sequences
+/// (equal keys listed in index order): the same permutation, and one
+/// group per map key. Every element lies below `bound`.
+template <typename T>
+void expect_matches_map(const std::vector<std::vector<T>>& seqs,
+                        std::uint64_t bound) {
+  std::map<std::vector<T>, std::vector<std::size_t>> by_key;
+  for (std::size_t i = 0; i < seqs.size(); ++i) by_key[seqs[i]].push_back(i);
+  std::vector<std::size_t> expected_order, expected_begin{0};
+  for (const auto& [key, ids] : by_key) {
+    expected_order.insert(expected_order.end(), ids.begin(), ids.end());
+    expected_begin.push_back(expected_order.size());
+  }
+  const auto sorted = lexicographic_order(
+      seqs.size(),
+      [&](std::size_t i) -> const std::vector<T>& { return seqs[i]; },
+      bound);
+  EXPECT_EQ(sorted.order, expected_order);
+  EXPECT_EQ(sorted.group_begin, expected_begin);
+  EXPECT_EQ(sorted.groups(), by_key.size());
+}
 
 TEST(LexOrder, MatchesMapOrderWithIndexTieBreak) {
   // Short sequences over a tiny alphabet: many duplicates, proper
-  // prefixes, empty sequences, and keys that agree on the four packed
-  // elements but differ later. Walking a std::map keyed by the sequences
-  // (equal keys listed in index order) must give the same permutation.
+  // prefixes and empty sequences.
   Rng rng(17);
   std::vector<std::vector<int>> seqs(400);
   for (auto& s : seqs) {
@@ -398,23 +459,39 @@ TEST(LexOrder, MatchesMapOrderWithIndexTieBreak) {
   seqs.push_back({0, 0, 0, 0, 2});
   seqs.push_back({0, 0, 0, 0, 1});
   seqs.push_back({0, 0, 0, 0});
-  std::map<std::vector<int>, std::vector<std::size_t>> by_key;
-  for (std::size_t i = 0; i < seqs.size(); ++i) by_key[seqs[i]].push_back(i);
-  std::vector<std::size_t> expected;
-  for (const auto& [key, ids] : by_key)
-    expected.insert(expected.end(), ids.begin(), ids.end());
+  expect_matches_map(seqs, 3);
+}
 
-  EXPECT_EQ(lexicographic_order(seqs.size(),
-                                [&](std::size_t i) -> const std::vector<int>& {
-                                  return seqs[i];
-                                }),
-            expected);
+TEST(LexOrder, LongSequencesTieOnThePackedHead) {
+  // The packed head holds 64 / width elements, width being the bits of
+  // the bound (top + 1): 32 elements below 3, 4 at 15 bits, 3 at 16 and
+  // 21 bits, 1 for the top 32-bit id. Sequences over {0, 1, top - 1, top}
+  // longer than the head tie on it constantly and must be re-keyed on the
+  // rest; equal sequences keep index order; empty and one-element
+  // sequences sort first within their prefix.
+  for (const std::uint32_t top :
+       {2u, 32766u, 32767u, (1u << 21) - 1, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(top);
+    Rng rng(top);
+    const std::uint32_t alphabet[] = {0, 1, top - 1, top};
+    std::vector<std::vector<std::uint32_t>> seqs(300);
+    for (auto& s : seqs) {
+      s.resize(rng.next_below(40));
+      for (auto& x : s) x = alphabet[rng.next_below(4)];
+    }
+    for (std::size_t i = 0; i < 60; ++i) seqs.push_back(seqs[i * 3]);
+    for (const std::vector<std::uint32_t>& s :
+         {std::vector<std::uint32_t>{}, {top}, {0}, {}, {top}, {1}, {top, 0}})
+      seqs.push_back(s);
+    expect_matches_map(seqs, std::uint64_t{top} + 1);
+  }
 }
 
 TEST(LexOrder, HandlesEmptyInputAndLargeValues) {
-  EXPECT_TRUE(lexicographic_order(0, [](std::size_t) {
-                return std::vector<std::uint32_t>{};
-              }).empty());
+  const auto none = lexicographic_order(
+      0, [](std::size_t) { return std::vector<std::uint32_t>{}; }, 0);
+  EXPECT_TRUE(none.order.empty());
+  EXPECT_EQ(none.groups(), 0u);
   // Values near the top of the supported range still order correctly.
   const std::vector<std::vector<std::uint32_t>> seqs{
       {0xFFFFFFFDu, 1}, {0xFFFFFFFDu}, {0, 0xFFFFFFFDu}, {0xFFFFFFFDu, 0}};
@@ -422,7 +499,9 @@ TEST(LexOrder, HandlesEmptyInputAndLargeValues) {
                 seqs.size(),
                 [&](std::size_t i) -> const std::vector<std::uint32_t>& {
                   return seqs[i];
-                }),
+                },
+                0xFFFFFFFEu)
+                .order,
             (std::vector<std::size_t>{2, 1, 3, 0}));
 }
 
@@ -461,9 +540,10 @@ TEST(PageAllocator, VectorsBehaveAlikeAcrossTheMappingThreshold) {
     return seqs[i];
   };
   const std::vector<std::size_t> expected =
-      lexicographic_order(seqs.size(), seq);
+      lexicographic_order(seqs.size(), seq, 50).order;
   const PagedVector<std::size_t> order =
-      lexicographic_order(seqs.size(), seq, PageAllocator<std::size_t>());
+      lexicographic_order(seqs.size(), seq, 50, PageAllocator<std::size_t>())
+          .order;
   EXPECT_TRUE(std::equal(order.begin(), order.end(), expected.begin(),
                          expected.end()));
 }

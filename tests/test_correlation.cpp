@@ -2,6 +2,9 @@
 // (Sec. 4.2), and the Fig. 5 dominance curve.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/correlation.hpp"
 #include "trace/workload.hpp"
 
@@ -161,6 +164,102 @@ TEST(DominanceCurve, TopKeywordsDominateOnSkewedWorkload) {
   const auto curve = dominance_curve(ranking, pairs, sizes, 10);
   // First sample = top 200 keywords (10%).
   EXPECT_GT(curve.front().cumulative_cost_fraction, 0.6);
+}
+
+// ---------- goldens: mining and ranking, bit for bit ----------
+
+std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    hash ^= (v >> (8 * b)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// A 50k-query trace over 5000 keywords whose index sizes repeat every 97
+/// keywords, so equal pair costs (and equal tail sizes) are common and the
+/// tie-breaks decide the order.
+struct GoldenInputs {
+  trace::QueryTrace trace{0};
+  std::vector<std::uint64_t> sizes;
+};
+
+GoldenInputs golden_inputs(double mean_query_length) {
+  trace::WorkloadConfig cfg;
+  cfg.vocabulary_size = 5000;
+  cfg.num_topics = 200;
+  cfg.topic_size = 8;
+  cfg.mean_query_length = mean_query_length;
+  cfg.seed = 5;
+  GoldenInputs in;
+  in.trace = trace::WorkloadModel(cfg).generate(50000, 17);
+  in.sizes.resize(cfg.vocabulary_size);
+  for (std::size_t k = 0; k < in.sizes.size(); ++k)
+    in.sizes[k] = 8 * (1 + k % 97);
+  return in;
+}
+
+std::uint64_t pairs_hash(const std::vector<KeywordPairWeight>& pairs) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const KeywordPairWeight& p : pairs) {
+    hash = fnv1a_mix(hash, p.a);
+    hash = fnv1a_mix(hash, p.b);
+    hash = fnv1a_mix(hash, std::bit_cast<std::uint64_t>(p.r));
+    hash = fnv1a_mix(hash, std::bit_cast<std::uint64_t>(p.w));
+  }
+  return hash;
+}
+
+TEST(PairWeights, GoldenMinedPairsHash) {
+  // Pins the exact miner's output (order, r and w bit patterns) for both
+  // operation models. Speed work on counting or ordering must leave it
+  // unchanged; a deliberate behaviour change updates these constants and
+  // says why.
+  const struct {
+    double qlen;
+    OperationModel model;
+    std::size_t pairs;
+    std::uint64_t hash;
+  } golden[] = {
+      {2.54, OperationModel::kSmallestPair, 10393, 0xd590c8b5c1566516ULL},
+      {2.54, OperationModel::kAllPairs, 33251, 0x8c52de7dcc02af2aULL},
+      {6.0, OperationModel::kSmallestPair, 12679, 0x0809d45bd9a06543ULL},
+      {6.0, OperationModel::kAllPairs, 90206, 0x0bdfbba718cadd53ULL},
+  };
+  for (const auto& g : golden) {
+    SCOPED_TRACE(testing::Message() << "qlen " << g.qlen << " model "
+                                    << static_cast<int>(g.model));
+    const GoldenInputs in = golden_inputs(g.qlen);
+    const auto pairs =
+        mine_pair_weights(in.trace, in.sizes, g.model, MinerOptions{});
+    EXPECT_EQ(pairs.size(), g.pairs);
+    EXPECT_EQ(pairs_hash(pairs), g.hash);
+  }
+}
+
+TEST(ImportanceRanking, GoldenRankingHash) {
+  const struct {
+    double qlen;
+    OperationModel model;
+    std::uint64_t hash;
+  } golden[] = {
+      {2.54, OperationModel::kSmallestPair, 0x01d1074a989c9151ULL},
+      {2.54, OperationModel::kAllPairs, 0x56e8bf301b517365ULL},
+      {6.0, OperationModel::kSmallestPair, 0x2b4d0c83ee162cbdULL},
+      {6.0, OperationModel::kAllPairs, 0xd89338d24beb7879ULL},
+  };
+  for (const auto& g : golden) {
+    SCOPED_TRACE(testing::Message() << "qlen " << g.qlen << " model "
+                                    << static_cast<int>(g.model));
+    const GoldenInputs in = golden_inputs(g.qlen);
+    const auto ranking = importance_ranking(
+        mine_pair_weights(in.trace, in.sizes, g.model, MinerOptions{}),
+        in.sizes);
+    ASSERT_EQ(ranking.size(), in.sizes.size());
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const trace::KeywordId k : ranking) hash = fnv1a_mix(hash, k);
+    EXPECT_EQ(hash, g.hash);
+  }
 }
 
 }  // namespace

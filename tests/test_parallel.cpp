@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,8 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/correlation.hpp"
+#include "core/partial_optimizer.hpp"
 #include "core/rounding.hpp"
 #include "search/inverted_index.hpp"
 #include "sim/cluster.hpp"
@@ -280,26 +283,46 @@ TEST(Determinism, ReplayTraceIsThreadCountInvariant) {
 }
 
 TEST(Determinism, PairCounterIsThreadCountInvariant) {
+  // Counting, ranking and the hyperedge aggregation all sort on the pool
+  // in chunks (common/radix_sort.hpp); these inputs span several chunks,
+  // so a chunk-dependent order would show as a thread-count difference.
   ThreadsGuard guard;
   trace::WorkloadConfig wcfg;
   wcfg.vocabulary_size = 500;
   wcfg.num_topics = 50;
   wcfg.seed = 3;
-  const trace::WorkloadModel model(wcfg);
-  const trace::QueryTrace trace = model.generate(20000, 11);
+  const trace::QueryTrace trace =
+      trace::WorkloadModel(wcfg).generate(20000, 11);
+  wcfg.mean_query_length = 6.0;
+  const trace::QueryTrace long_trace =
+      trace::WorkloadModel(wcfg).generate(20000, 12);
   std::vector<std::uint64_t> sizes(500);
   for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 8 * (k % 97 + 1);
+  core::PartialOptimizerConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.scope = 200;
 
   std::vector<std::vector<trace::PairCount>> all_pairs, smallest_pairs;
-  for (int threads : kThreadCounts) {
+  std::vector<std::vector<trace::KeywordId>> rankings;
+  std::vector<std::vector<core::Hyperedge>> hyperedges;
+  const int thread_counts[] = {1, 2, 3, 4, 8};
+  for (int threads : thread_counts) {
     common::set_global_threads(threads);
     all_pairs.push_back(
         trace::PairCounter::count_all_pairs(trace).sorted_pairs());
     smallest_pairs.push_back(
         trace::PairCounter::count_smallest_pair(trace, sizes).sorted_pairs());
+    rankings.push_back(core::importance_ranking(
+        core::build_pair_weights(trace, sizes,
+                                 core::OperationModel::kAllPairs),
+        sizes));
+    const core::PartialOptimizer optimizer(long_trace, sizes, cfg);
+    hyperedges.push_back(optimizer.hyperedge_instance().hyperedges());
   }
   ASSERT_FALSE(all_pairs[0].empty());
+  ASSERT_FALSE(hyperedges[0].empty());
   for (std::size_t i = 1; i < all_pairs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << thread_counts[i] << " threads");
     ASSERT_EQ(all_pairs[i].size(), all_pairs[0].size());
     ASSERT_EQ(smallest_pairs[i].size(), smallest_pairs[0].size());
     for (std::size_t p = 0; p < all_pairs[0].size(); ++p) {
@@ -310,11 +333,18 @@ TEST(Determinism, PairCounterIsThreadCountInvariant) {
       EXPECT_EQ(smallest_pairs[i][p].pair, smallest_pairs[0][p].pair);
       EXPECT_EQ(smallest_pairs[i][p].count, smallest_pairs[0][p].count);
     }
+    EXPECT_EQ(rankings[i], rankings[0]);
+    ASSERT_EQ(hyperedges[i].size(), hyperedges[0].size());
+    for (std::size_t e = 0; e < hyperedges[0].size(); ++e) {
+      EXPECT_EQ(hyperedges[i][e].pins, hyperedges[0][e].pins);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hyperedges[i][e].weight),
+                std::bit_cast<std::uint64_t>(hyperedges[0][e].weight));
+    }
   }
 }
 
 TEST(Determinism, TopPairsMatchesSortedPairsHead) {
-  // nth_element-based top_pairs must agree with the full sort's head.
+  // top_pairs must agree with the full sort's head.
   trace::WorkloadConfig wcfg;
   wcfg.vocabulary_size = 200;
   wcfg.num_topics = 20;

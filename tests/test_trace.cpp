@@ -295,6 +295,44 @@ TEST(PairStats, TopPairsTruncates) {
   EXPECT_EQ(top[0].pair, (KeywordPair{1, 2}));
 }
 
+TEST(PairStats, BatchedCountMatchesWholeTrace) {
+  // Enough pairs that the batched counter folds several times mid-stream,
+  // merging new runs into counts it already holds.
+  WorkloadConfig cfg;
+  cfg.vocabulary_size = 3000;
+  cfg.num_topics = 100;
+  cfg.mean_query_length = 6.0;
+  const WorkloadModel model(cfg);
+  std::vector<QueryTrace> batches;
+  QueryTrace whole(cfg.vocabulary_size);
+  for (std::uint64_t b = 0; b < 8; ++b) {
+    batches.push_back(model.generate(12000, b + 1));
+    for (const Query& q : batches.back().queries()) whole.add_query(q.keywords);
+  }
+  std::size_t next = 0;
+  const PairCounter batched = PairCounter::count_all_pairs_batched(
+      [&](QueryTrace& batch) {
+        if (next == batches.size()) return false;
+        batch = batches[next++];
+        return true;
+      });
+  const PairCounter reference = PairCounter::count_all_pairs(whole);
+  EXPECT_EQ(batched.num_queries(), whole.size());
+  ASSERT_EQ(batched.distinct_pairs(), reference.distinct_pairs());
+  // The merges are sized exactly: 16 B per distinct pair, nothing spare.
+  EXPECT_EQ(batched.memory_bytes(),
+            batched.distinct_pairs() * 2 * sizeof(std::uint64_t));
+  const auto expected = reference.sorted_pairs();
+  const auto actual = batched.sorted_pairs();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].pair, expected[i].pair);
+    EXPECT_EQ(actual[i].count, expected[i].count);
+  }
+  EXPECT_EQ(batched.count(expected[0].pair.first, expected[0].pair.second),
+            expected[0].count);
+}
+
 TEST(PairStats, StabilityReportCountsDoublingsAndHalvings) {
   QueryTrace ref(10), other(10);
   for (int i = 0; i < 4; ++i) ref.add_query({1, 2});    // p = 1.0
