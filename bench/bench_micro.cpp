@@ -473,9 +473,11 @@ BENCHMARK(BM_BuildGroups)
     ->Unit(benchmark::kMillisecond);
 
 // The hypergraph strategy's partitioner alone, default options, on the
-// whole-query instance of a mean-length-6 pipeline (1000 scoped keywords,
-// 16 nodes). Its restarted V-cycles run on the pool, so this row reads
-// wall clock: compare it at CCA_THREADS=1 and 4.
+// whole-query instance of a mean-length-6 pipeline (16 nodes; the
+// argument is the scope: 1000 scoped keywords, and 4000, the
+// place-and-serve benchmark's scope, where refinement makes thousands of
+// moves). Its restarted V-cycles run on the pool, so this row reads wall
+// clock: compare it at CCA_THREADS=1 and 4.
 void BM_HypergraphPlacement(benchmark::State& state) {
   trace::WorkloadConfig wcfg;
   wcfg.vocabulary_size = 5000;
@@ -488,14 +490,18 @@ void BM_HypergraphPlacement(benchmark::State& state) {
   for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 64 + k % 512;
   core::PartialOptimizerConfig cfg;
   cfg.num_nodes = 16;
-  cfg.scope = 1000;
+  cfg.scope = static_cast<std::size_t>(state.range(0));
   const core::PartialOptimizer optimizer(trace, sizes, cfg);
   const core::CcaInstance& instance = optimizer.hyperedge_instance();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::hypergraph_placement(instance));
   }
 }
-BENCHMARK(BM_HypergraphPlacement)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HypergraphPlacement)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullLpSolve(benchmark::State& state) {
   const core::CcaInstance instance =

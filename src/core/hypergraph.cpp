@@ -16,65 +16,104 @@
 #include "common/page_allocator.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/hypergraph_detail.hpp"
 
 namespace cca::core {
 
+namespace detail {
+
+NetState::NetState(const Hypergraph& g, const std::vector<NodeId>& part)
+    : g_(g),
+      lambda_(static_cast<std::size_t>(g.num_nets()), 0),
+      slots_(g.pins.size()) {
+  for (int e = 0; e < g.num_nets(); ++e)
+    for (int v : g.net(e)) add(e, part[v]);
+}
+
+std::pair<int, int> NetState::move(int e, NodeId from, NodeId to) {
+  Slot* s = find(e, from);
+  const int at_from = s->count;
+  if (--s->count == 0) *s = slots_[g_.net_begin[e] + --lambda_[e]];
+  return {at_from, add(e, to)};
+}
+
+NetState::Slot* NetState::find(int e, NodeId k) {
+  Slot* s = slots_.data() + g_.net_begin[e];
+  for (Slot* end = s + lambda_[e]; s < end; ++s)
+    if (s->node == k) return s;
+  return nullptr;
+}
+
+int NetState::add(int e, NodeId k) {
+  if (Slot* s = find(e, k)) return s->count++;
+  slots_[g_.net_begin[e] + lambda_[e]++] = {k, 1};
+  return 0;
+}
+
+RefineState::RefineState(const Hypergraph& g, std::vector<NodeId>& part,
+                         int num_nodes)
+    : g_(g),
+      part_(part),
+      num_nodes_(num_nodes),
+      load_(static_cast<std::size_t>(num_nodes), 0.0),
+      nets_(g, part),
+      rows_(static_cast<std::size_t>(g.n) * num_nodes),
+      base_(static_cast<std::size_t>(g.n)),
+      total_(static_cast<std::size_t>(g.n)) {
+  for (int v = 0; v < g.n; ++v) load_[part[v]] += g.vweight[v];
+  // Nets in ascending order feed each pin's row one term per node per
+  // net: the incident-net order and sums a from-scratch evaluation of the
+  // vertex gives, while the slots are read sequentially.
+  for (int e = 0; e < g.num_nets(); ++e) {
+    const double w = g.eweight[e];
+    const double share = g.share(e);
+    const std::span<const NetState::Slot> slots = nets_.slots(e);
+    for (int x : g.net(e)) {
+      Gain* row = rows_.data() + static_cast<std::size_t>(x) * num_nodes_;
+      const NodeId current = part[x];
+      total_[x] += w;
+      for (const auto& [k, count] : slots) {
+        if (k == current && count == 1) base_[x] += w;
+        row[k].present += w;
+        row[k].aux += share * count;
+      }
+      row[current].aux -= share;  // x is not its own co-member
+    }
+  }
+}
+
+void RefineState::move(int v, NodeId to) {
+  const NodeId from = part_[v];
+  load_[from] -= g_.vweight[v];
+  load_[to] += g_.vweight[v];
+  part_[v] = to;
+  for (int e : g_.nets_of(v)) {
+    const auto [at_from, at_to] = nets_.move(e, from, to);
+    const double w = g_.eweight[e];
+    const double share = g_.share(e);
+    for (int x : g_.net(e)) {
+      Gain* row = rows_.data() + static_cast<std::size_t>(x) * num_nodes_;
+      if (at_from == 1) row[from].present -= w;  // e leaves `from`
+      if (at_to == 0) row[to].present += w;      // e reaches `to`
+      if (x == v) continue;
+      row[from].aux -= share;
+      row[to].aux += share;
+      if (part_[x] == from && at_from == 2)
+        base_[x] += w;  // x is now e's last pin on `from`
+      else if (part_[x] == to && at_to == 1)
+        base_[x] -= w;  // v joins x, which was alone on `to`
+    }
+    if (at_to == 0) base_[v] += w;
+    if (at_from == 1) base_[v] -= w;
+  }
+}
+
+}  // namespace detail
+
 namespace {
 
-/// Working hypergraph at one level of the multilevel hierarchy, in CSR
-/// form: net e's pins are pins[net_begin[e], net_begin[e+1]) and vertex
-/// v's incident nets are incident[inc_begin[v], inc_begin[v+1]), in
-/// ascending net order. The incidence lists are built only while a level
-/// is being coarsened or refined. The per-pin and per-net arrays are
-/// page-mapped: restarts build their levels concurrently on pool workers
-/// (see common/page_allocator.hpp).
-struct Hypergraph {
-  int n = 0;
-  std::vector<double> vweight;                // object bytes
-  std::vector<std::optional<NodeId>> pin;     // placement pins (fixed node)
-  common::PagedVector<int> pins;              // nets' distinct vertices
-  common::PagedVector<int> net_begin{0};
-  common::PagedVector<double> eweight;        // net -> rate weight
-  common::PagedVector<int> incident;          // vertices' incident net ids
-  std::vector<int> inc_begin;
-
-  int num_nets() const { return static_cast<int>(eweight.size()); }
-  int net_size(int e) const { return net_begin[e + 1] - net_begin[e]; }
-  /// Clique-expansion weight of each pin pair of net e: weight/(|e|-1).
-  double share(int e) const {
-    return eweight[e] / static_cast<double>(std::max(net_size(e) - 1, 1));
-  }
-  std::span<const int> net(int e) const {
-    return {pins.data() + net_begin[e], pins.data() + net_begin[e + 1]};
-  }
-  std::span<const int> nets_of(int v) const {
-    return {incident.data() + inc_begin[v],
-            incident.data() + inc_begin[v + 1]};
-  }
-
-  void add_net(std::span<const int> vertices, double weight) {
-    pins.insert(pins.end(), vertices.begin(), vertices.end());
-    net_begin.push_back(static_cast<int>(pins.size()));
-    eweight.push_back(weight);
-  }
-
-  void build_incidence() {
-    inc_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (int v : pins) ++inc_begin[v + 1];
-    std::partial_sum(inc_begin.begin(), inc_begin.end(), inc_begin.begin());
-    incident.resize(pins.size());
-    std::vector<int> next(inc_begin.begin(), inc_begin.end() - 1);
-    for (int e = 0; e < num_nets(); ++e)
-      for (int v : net(e)) incident[next[v]++] = e;
-  }
-
-  void drop_incidence() {
-    incident.clear();
-    incident.shrink_to_fit();
-    inc_begin.clear();
-    inc_begin.shrink_to_fit();
-  }
-};
+using detail::Hypergraph;
+using detail::RefineState;
 
 Hypergraph build_base(const CcaInstance& instance) {
   Hypergraph g;
@@ -139,7 +178,8 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
       // contributes w / (k - 1) to each co-member pair.
       const double contrib = g.share(e);
       for (int u : g.net(e)) {
-        if (u == v) continue;
+        // Matched co-members cannot be picked, so they are not scored.
+        if (u == v || match[u] >= 0) continue;
         if (score[u] == 0.0) touched.push_back(u);
         score[u] += contrib;
       }
@@ -149,7 +189,7 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
     for (int u : touched) {
       const double s = score[u];
       score[u] = 0.0;
-      if (match[u] >= 0 || !pins_compatible(v, u)) continue;
+      if (!pins_compatible(v, u)) continue;
       if (g.vweight[v] + g.vweight[u] > max_weight) continue;
       if (s > best_score || (s == best_score && best >= 0 && u < best)) {
         best = u;
@@ -288,91 +328,28 @@ std::vector<NodeId> initial_partition(const Hypergraph& g,
   return part;
 }
 
-/// Per-net refinement state: the pin counts Phi(e,k) — pins of net e on
-/// node k — stored sparsely. Net e owns |e| slots from g.net_begin[e] on
-/// (enough for every node it can touch); the first lambda(e) hold one
-/// (node, count) pair per node the net touches, and a slot whose count
-/// drops to 0 is swap-removed, so walking a net's slots costs lambda(e),
-/// not N. Weights and slot offsets are read from the hypergraph, leaving
-/// four bytes per net here.
-class NetState {
- public:
-  struct Slot {
-    NodeId node;
-    int count;
-  };
-
-  NetState(const Hypergraph& g, const std::vector<NodeId>& part)
-      : g_(g),
-        lambda_(static_cast<std::size_t>(g.num_nets()), 0),
-        slots_(g.pins.size()) {
-    for (int e = 0; e < g.num_nets(); ++e)
-      for (int v : g.net(e)) add(e, part[v]);
-  }
-
-  /// The nodes net e touches, with their pin counts, in no fixed order.
-  std::span<const Slot> slots(int e) const {
-    return {slots_.data() + g_.net_begin[e],
-            static_cast<std::size_t>(lambda_[e])};
-  }
-
-  /// Moves one of net e's pins from node `from` to node `to`.
-  void move(int e, NodeId from, NodeId to) {
-    Slot* s = find(e, from);
-    if (--s->count == 0) *s = slots_[g_.net_begin[e] + --lambda_[e]];
-    add(e, to);
-  }
-
- private:
-  Slot* find(int e, NodeId k) {
-    Slot* s = slots_.data() + g_.net_begin[e];
-    for (Slot* end = s + lambda_[e]; s < end; ++s)
-      if (s->node == k) return s;
-    return nullptr;
-  }
-
-  void add(int e, NodeId k) {
-    if (Slot* s = find(e, k))
-      ++s->count;
-    else
-      slots_[g_.net_begin[e] + lambda_[e]++] = {k, 1};
-  }
-
-  const Hypergraph& g_;
-  common::PagedVector<int> lambda_;  // live slots per net
-  common::PagedVector<Slot> slots_;
-};
-
 /// FM-style single-vertex refinement of the lambda-1 objective under
 /// capacity, then the deterministic overflow drain.
 void refine(const Hypergraph& g, const std::vector<double>& capacities,
             std::vector<NodeId>& part, int passes, common::Rng& rng) {
-  static common::Timer& timer =
-      common::MetricsRegistry::global().timer("core.hypergraph.refine");
+  auto& reg = common::MetricsRegistry::global();
+  static common::Timer& timer = reg.timer("core.hypergraph.refine");
+  static common::Counter& evaluations_counter =
+      reg.counter("core.hypergraph.refine.evaluations");
+  static common::Counter& moves_counter =
+      reg.counter("core.hypergraph.refine.moves");
   const common::ScopedTimer scoped(timer);
 
+  // Each vertex's gain row is built once here and then kept current by
+  // every move (see RefineState), so a sweep visit reads N row entries
+  // instead of re-walking the vertex's nets; most visits move nothing.
   const int N = static_cast<int>(capacities.size());
-  std::vector<double> load(static_cast<std::size_t>(N), 0.0);
-  for (int v = 0; v < g.n; ++v) load[part[v]] += g.vweight[v];
-
-  // Moving v from a to b changes a net's lambda by
-  // [Phi(e,b)==0] - [Phi(e,a)==1], so with sparse pin counts a vertex's
-  // move gains cost O(sum of lambda over its nets) to evaluate and
-  // O(degree * lambda) to apply. Each node receives at most one term per
-  // net, in incident-net order, whatever the slot order.
-  NetState nets(g, part);
+  RefineState state(g, part, N);
+  const std::vector<double>& load = state.load();
 
   std::vector<int> order(static_cast<std::size_t>(g.n));
   std::iota(order.begin(), order.end(), 0);
-  std::vector<double> present(static_cast<std::size_t>(N));
-  std::vector<double> aux(static_cast<std::size_t>(N));
-
-  const auto apply_move = [&](int v, NodeId from, NodeId to) {
-    load[from] -= g.vweight[v];
-    load[to] += g.vweight[v];
-    part[v] = to;
-    for (int e : g.nets_of(v)) nets.move(e, from, to);
-  };
+  std::int64_t evaluations = 0, moves = 0;
 
   for (int pass = 0; pass < passes; ++pass) {
     for (int i = g.n - 1; i > 0; --i)
@@ -381,6 +358,7 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
     bool moved = false;
     for (int v : order) {
       if (g.pin[v] || g.nets_of(v).empty()) continue;
+      ++evaluations;
       const NodeId current = part[v];
       // base: weight of nets where v is the node's last pin (lambda drops
       // when v leaves). present[k]: net weight already touching node k.
@@ -389,20 +367,8 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
       // moves drift pins toward their co-members so a later pass can
       // collapse the net. Moving a single pin of a 2+2 split net has zero
       // lambda gain, yet it is exactly the move that unlocks lambda=1.
-      double base = 0.0, total = 0.0;
-      std::fill(present.begin(), present.end(), 0.0);
-      std::fill(aux.begin(), aux.end(), 0.0);
-      for (int e : g.nets_of(v)) {
-        const double w = g.eweight[e];
-        const double share = g.share(e);
-        total += w;
-        for (const auto& [k, count] : nets.slots(e)) {
-          if (k == current && count == 1) base += w;
-          present[k] += w;
-          aux[k] += share * count;
-        }
-        aux[current] -= share;  // do not count v as its own co-member
-      }
+      const std::span<const RefineState::Gain> row = state.row(v);
+      const double base = state.base(v), total = state.total(v);
       NodeId best = current;
       double best_gain = 0.0;
       double best_aux = 0.0;  // aux gain of staying put
@@ -410,8 +376,8 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         if (k == current) continue;
         if (load[k] + g.vweight[v] > capacities[k]) continue;
         // gain = base - (weight of nets for which k is a brand-new node)
-        const double gain = base - (total - present[k]);
-        const double aux_gain = aux[k] - aux[current];
+        const double gain = base - (total - row[k].present);
+        const double aux_gain = row[k].aux - row[current].aux;
         if (gain > best_gain + 1e-12 ||
             (gain > best_gain - 1e-12 && aux_gain > best_aux + 1e-12)) {
           best = k;
@@ -420,20 +386,23 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         }
       }
       if (best != current) {
-        apply_move(v, current, best);
+        state.move(v, best);
+        ++moves;
         moved = true;
       }
     }
     if (!moved) break;
   }
+  evaluations_counter.add(evaluations);
+  moves_counter.add(moves);
 
   // Overflow drain, mirroring multilevel's repaired rebalance pass:
   // cheapest lambda-increase evictions first; when nothing fits anywhere
   // the smallest unpinned object spills to the least-loaded node and the
   // violation is surfaced through the metric.
   static common::Counter& capacity_violations =
-      common::MetricsRegistry::global().counter(
-          "core.hypergraph.capacity_violations");
+      reg.counter("core.hypergraph.capacity_violations");
+  std::vector<double> present(static_cast<std::size_t>(N));
   for (int k = 0; k < N; ++k) {
     while (load[k] > capacities[k]) {
       int victim = -1;
@@ -446,7 +415,7 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         for (int e : g.nets_of(v)) {
           const double w = g.eweight[e];
           total += w;
-          for (const auto& [t, count] : nets.slots(e)) {
+          for (const auto& [t, count] : state.nets().slots(e)) {
             if (t == k && count == 1) base += w;
             present[t] += w;
           }
@@ -472,9 +441,9 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
         NodeId dest = k == 0 ? 1 : 0;
         for (int t = 0; t < N; ++t)
           if (t != k && load[t] < load[dest]) dest = t;
-        apply_move(spill, k, dest);
+        state.move(spill, dest);
       } else {
-        apply_move(victim, k, victim_dest);
+        state.move(victim, victim_dest);
       }
     }
   }

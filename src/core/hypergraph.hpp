@@ -27,6 +27,10 @@
 //      lambda(e) = number of distinct nodes hosting e's pins, with ties
 //      broken by clique-expansion affinity (zero-gain moves still drift
 //      pins toward co-members, letting a later sweep collapse the net).
+//      Each vertex's gain row (net weight present per node, co-member
+//      affinity per node, the weight it alone holds on its node) is
+//      built once per level and updated by deltas on every move, so a
+//      visit that moves nothing costs one read of the row.
 //      For 2-pin nets lambda - 1 is the cut indicator, so on a pairwise
 //      instance this degenerates to a weighted graph partitioner.
 //

@@ -1,13 +1,15 @@
 // Hypergraph partitioner: lambda-1 quality vs brute force, pin/capacity
-// invariants, degenerate hyperedges, the pairwise fallback, and
-// determinism across seeds and thread counts. Lives in the sanitize-
-// labelled binary: the thread-count determinism claims are what TSan
-// should scrutinise.
+// invariants, degenerate hyperedges, the pairwise fallback, determinism
+// across seeds and thread counts, and the refinement's cached gain rows
+// against a from-scratch recompute. Lives in the sanitize-labelled
+// binary: the thread-count determinism claims are what TSan should
+// scrutinise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/hypergraph.hpp"
+#include "core/hypergraph_detail.hpp"
 #include "core/instance.hpp"
 #include "core/partial_optimizer.hpp"
 #include "trace/workload.hpp"
@@ -331,6 +334,47 @@ TEST(Hypergraph, GoldenPlacementHash) {
             0x23bf6f06afce8925ULL);
 }
 
+TEST(Hypergraph, GoldenPlacementHashLongQueries) {
+  // The same pin at the scale where refinement makes thousands of moves
+  // (mean query length 6, 4000 scoped keywords, 16 nodes), so drift in
+  // the refinement's incrementally kept gains would show here where the
+  // small instance above cannot show it. Constant computed on the
+  // from-scratch gain evaluation the cached rows replaced; checked at 1
+  // and 4 threads.
+  trace::WorkloadConfig wcfg;
+  wcfg.vocabulary_size = 5000;
+  wcfg.num_topics = 400;
+  wcfg.topic_size = 8;
+  wcfg.mean_query_length = 6.0;
+  const trace::QueryTrace trace =
+      trace::WorkloadModel(wcfg).generate(40000, 7);
+  std::vector<std::uint64_t> sizes(wcfg.vocabulary_size);
+  for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 64 + k % 512;
+  PartialOptimizerConfig cfg;
+  cfg.num_nodes = 16;
+  cfg.scope = 4000;
+  const PartialOptimizer opt(trace, sizes, cfg);
+  const CcaInstance& scoped = opt.hyperedge_instance();
+  ASSERT_EQ(scoped.num_objects(), 4000);
+
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& moves = reg.counter("core.hypergraph.refine.moves");
+  common::Counter& evaluations =
+      reg.counter("core.hypergraph.refine.evaluations");
+  moves.reset();
+  evaluations.reset();
+  for (const int threads : {1, 4}) {
+    common::set_global_threads(threads);
+    reg.set_enabled(threads == 1);
+    EXPECT_EQ(fnv1a(hypergraph_placement(scoped)), 0x1fc6d77f4a736bacULL)
+        << "threads=" << threads;
+  }
+  reg.set_enabled(false);
+  common::set_global_threads(0);
+  EXPECT_GE(moves.total(), 1000);
+  EXPECT_GT(evaluations.total(), moves.total());
+}
+
 TEST(Hypergraph, RestartsAreThreadCountInvariant) {
   // Restarts run on the pool, one named stream each: the pick among them
   // must not depend on how many threads ran the cycles.
@@ -452,6 +496,114 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   const double ml_lambda = scoped.connectivity_cost(scoped_placement(ml));
   EXPECT_LE(hg_lambda, ml_lambda + 1e-9);
   EXPECT_LT(hg_lambda, scoped.total_connectivity_cost());  // actually helps
+}
+
+// ---------- refinement gain cache ----------
+
+TEST(HypergraphRefine, CachedGainRowsMatchRecomputeAfterEveryMove) {
+  // Random moves over a small hypergraph with pinned vertices, an
+  // isolated vertex, 2-pin nets and wide nets, at rate-scale weights.
+  // After every move each vertex's cached row must equal a from-scratch
+  // recompute from the assignment alone, and the pin counts and loads
+  // must match too.
+  const int n = 40, N = 5;
+  common::Rng rng(17);
+  detail::Hypergraph g;
+  g.n = n;
+  for (int v = 0; v < n; ++v) {
+    g.vweight.push_back(1.0 + static_cast<double>(rng.next_below(4)));
+    g.pin.push_back(v % 9 == 0 ? std::optional<NodeId>(v % N) : std::nullopt);
+  }
+  const int kNets = 60;
+  for (int e = 0; e < kNets; ++e) {
+    // Every third net is a 2-pin net, every tenth spans 12 to 20 pins;
+    // vertex n - 1 stays isolated.
+    const int size = e % 3 == 0    ? 2
+                     : e % 10 == 1 ? 12 + static_cast<int>(rng.next_below(9))
+                                   : 3 + static_cast<int>(rng.next_below(4));
+    std::vector<int> pins;
+    while (static_cast<int>(pins.size()) < size) {
+      const int v = static_cast<int>(rng.next_below(n - 1));
+      if (std::find(pins.begin(), pins.end(), v) == pins.end())
+        pins.push_back(v);
+    }
+    std::sort(pins.begin(), pins.end());
+    g.add_net(pins, (0.5 + rng.next_double()) / kNets);
+  }
+  g.build_incidence();
+
+  std::vector<NodeId> part(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v)
+    part[v] = g.pin[v] ? *g.pin[v] : static_cast<NodeId>(rng.next_below(N));
+  detail::RefineState state(g, part, N);
+
+  const auto dense_counts = [&](int e) {
+    std::vector<int> phi(N, 0);
+    for (int x : g.net(e)) ++phi[part[x]];
+    return phi;
+  };
+  const auto check_against_recompute = [&](int step) {
+    std::vector<double> load(N, 0.0);
+    for (int v = 0; v < n; ++v) load[part[v]] += g.vweight[v];
+    for (int k = 0; k < N; ++k)
+      ASSERT_DOUBLE_EQ(state.load()[k], load[k]) << "step " << step;
+    for (int e = 0; e < g.num_nets(); ++e) {
+      const std::vector<int> phi = dense_counts(e);
+      int live = 0;
+      for (const auto& slot : state.nets().slots(e)) {
+        ASSERT_EQ(slot.count, phi[slot.node]) << "step " << step;
+        ++live;
+      }
+      ASSERT_EQ(live, N - std::count(phi.begin(), phi.end(), 0))
+          << "step " << step;
+    }
+    for (int x = 0; x < n; ++x) {
+      std::vector<double> present(N, 0.0), aux(N, 0.0);
+      double base = 0.0, total = 0.0;
+      for (int e : g.nets_of(x)) {
+        const std::vector<int> phi = dense_counts(e);
+        const double w = g.eweight[e], share = g.share(e);
+        total += w;
+        if (phi[part[x]] == 1) base += w;
+        for (int k = 0; k < N; ++k) {
+          if (phi[k] > 0) present[k] += w;
+          aux[k] += share * (phi[k] - (k == part[x] ? 1 : 0));
+        }
+      }
+      const auto row = state.row(x);
+      ASSERT_NEAR(state.base(x), base, 1e-15) << "step " << step << " x " << x;
+      ASSERT_NEAR(state.total(x), total, 1e-15) << "step " << step;
+      for (int k = 0; k < N; ++k) {
+        ASSERT_NEAR(row[k].present, present[k], 1e-15)
+            << "step " << step << " x " << x << " k " << k;
+        ASSERT_NEAR(row[k].aux, aux[k], 1e-15)
+            << "step " << step << " x " << x << " k " << k;
+      }
+    }
+  };
+
+  check_against_recompute(-1);
+  int emptied = 0, opened = 0;
+  for (int step = 0; step < 3000; ++step) {
+    int v;
+    do {
+      v = static_cast<int>(rng.next_below(n));
+    } while (g.pin[v]);
+    const NodeId from = part[v];
+    const NodeId to = static_cast<NodeId>(
+        (from + 1 + static_cast<int>(rng.next_below(N - 1))) % N);
+    for (int e : g.nets_of(v)) {
+      const std::vector<int> phi = dense_counts(e);
+      emptied += phi[from] == 1;
+      opened += phi[to] == 0;
+    }
+    state.move(v, to);
+    ASSERT_EQ(part[v], to);
+    check_against_recompute(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(emptied, 100);
+  EXPECT_GT(opened, 100);
 }
 
 TEST(PartialOptimizer, HyperedgeInstanceBuiltOnceAcrossThreads) {
