@@ -8,7 +8,9 @@
 // metric the pairwise view cannot see: the rate-weighted
 // connectivity-minus-one cost (distinct nodes a query touches, minus one)
 // replayed over the held-out February trace. Strategy wall time goes to
-// the --json dump, giving the quality-vs-time frontier per distribution.
+// the --json dump, giving the quality-vs-time frontier per distribution;
+// the strategy calls of concurrent grid rows take turns, so each cell's
+// wall_ms is its strategy running alone.
 //
 //   ./bench_strategy_frontier [--nodes=10] [--scope=1000]
 //       [--qlens=2,2.54,4,6]
@@ -25,6 +27,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +101,7 @@ int main(int argc, char** argv) {
 
   // One row of cells per query length, grid cells evaluated concurrently.
   // parallel_map's index-ordered join keeps stdout deterministic.
+  std::mutex strategy_mutex;
   const auto rows = common::parallel_map(
       qlens.size(), [&](std::size_t qi) -> std::vector<FrontierCell> {
         const double qlen = qlens[qi];
@@ -121,12 +125,16 @@ int main(int argc, char** argv) {
 
         std::vector<FrontierCell> cells;
         for (const std::string& strategy : strategies) {
+          // Rows run concurrently, but the timed strategy calls take turns
+          // so no cell's wall_ms includes another cell's strategy.
+          std::unique_lock<std::mutex> timed(strategy_mutex);
           const auto start = std::chrono::steady_clock::now();
           const core::PlacementPlan plan = optimizer.run(strategy);
           FrontierCell cell;
           cell.wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
+          timed.unlock();
           cell.qlen = qlen;
           cell.realized_qlen = january.mean_query_length();
           cell.strategy = strategy;

@@ -24,6 +24,13 @@ of several runs — the gate then only fires on real regressions, not on a
 noisy sample. The schema check additionally enforces the load-invariant
 floor decode_speedup >= MIN_SPEEDUP (both codecs are timed in the same
 process, so their ratio cancels machine load).
+
+It also gates the serving kernel's thread scaling: replay_speedup and
+eventsim_speedup are the dump's configured-threads wall time over its
+1-thread wall time for replay_trace and simulate_load (best of three,
+interleaved in one process, so load hits both sides). With threads >= 4
+each must reach MIN_THREAD_SPEEDUP; below 4 threads the floor is skipped
+with a notice, since a 2-thread pool cannot show much.
 """
 import json
 import os
@@ -31,6 +38,8 @@ import sys
 
 TOLERANCE = 0.20
 MIN_SPEEDUP = 2.0
+MIN_THREAD_SPEEDUP = 1.3
+GATED_THREADS = 4
 
 CELL_KEYS = {
     "arrival_qps", "strategy", "p50_ms", "p99_ms", "max_nic_util",
@@ -38,8 +47,9 @@ CELL_KEYS = {
 }
 DATA_PLANE_KEYS = {
     "codec_default", "block_decode_mbps", "varint_decode_mbps",
-    "decode_speedup",
+    "decode_speedup", "threads", "replay_speedup", "eventsim_speedup",
 }
+SCALING_KEYS = ("replay_speedup", "eventsim_speedup")
 
 
 def load(path):
@@ -68,6 +78,20 @@ def load(path):
         raise SystemExit(
             f"{path}: block codec only {plane['decode_speedup']:.2f}x varint "
             f"(floor {MIN_SPEEDUP:.1f}x)")
+    if not isinstance(plane["threads"], int) or plane["threads"] < 1:
+        raise SystemExit(f"{path}: threads must be a positive integer")
+    for key in SCALING_KEYS:
+        if plane[key] <= 0:
+            raise SystemExit(f"{path}: {key} not positive")
+    if plane["threads"] < GATED_THREADS:
+        print(f"{path}: {plane['threads']} threads < {GATED_THREADS}; "
+              f"skipping the thread-scaling floor")
+    else:
+        for key in SCALING_KEYS:
+            if plane[key] < MIN_THREAD_SPEEDUP:
+                raise SystemExit(
+                    f"{path}: {key} {plane[key]:.2f}x at {plane['threads']} "
+                    f"threads (floor {MIN_THREAD_SPEEDUP:.1f}x)")
     return dump
 
 
@@ -84,7 +108,9 @@ def main(argv):
     plane = fresh["data_plane"]
     print(f"{len(fresh['cells'])} cells; block {plane['block_decode_mbps']:.0f}"
           f" MB/s, varint {plane['varint_decode_mbps']:.0f} MB/s, "
-          f"speedup {plane['decode_speedup']:.2f}x")
+          f"speedup {plane['decode_speedup']:.2f}x; at {plane['threads']} "
+          f"threads replay {plane['replay_speedup']:.2f}x, event sim "
+          f"{plane['eventsim_speedup']:.2f}x")
 
     if baseline_path is None:
         return

@@ -5,6 +5,7 @@
 #include <bit>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "search/compression.hpp"
 
 namespace cca::search {
@@ -256,17 +257,20 @@ CompressedIndex::CompressedIndex(const InvertedIndex& index,
     blocks_.resize(vocab);
   else
     varints_.resize(vocab);
-  for (std::size_t k = 0; k < vocab; ++k) {
+  // Lists encode independently on the pool; the totals sum after the join.
+  common::parallel_for(0, vocab, 64, [&](std::size_t k) {
     const auto& ids = index.postings(static_cast<trace::KeywordId>(k)).ids();
     counts_[k] = static_cast<std::uint32_t>(ids.size());
-    max_postings_ = std::max(max_postings_, ids.size());
-    if (codec_ == PostingCodec::kBlock) {
+    if (codec_ == PostingCodec::kBlock)
       blocks_[k] = BlockPostings::encode(ids);
-      encoded_bytes_ += blocks_[k].encoded_bytes();
-    } else {
+    else
       varints_[k] = compress_postings(ids);
-      encoded_bytes_ += varints_[k].size();
-    }
+  });
+  for (std::size_t k = 0; k < vocab; ++k) {
+    max_postings_ = std::max<std::size_t>(max_postings_, counts_[k]);
+    encoded_bytes_ += codec_ == PostingCodec::kBlock
+                          ? blocks_[k].encoded_bytes()
+                          : varints_[k].size();
   }
 }
 

@@ -74,6 +74,8 @@ class BlockPostings {
     std::uint32_t word_offset = 0;  // payload start in words_
     std::uint16_t count = 0;        // postings in this block (<= kBlockSize)
     std::uint8_t width = 0;         // bits per gap-1; 0 = consecutive run
+
+    bool operator==(const BlockMeta&) const = default;
   };
 
   BlockPostings() = default;
@@ -102,6 +104,9 @@ class BlockPostings {
   /// frame-delta varint, skip-max varint) + 8 bytes per payload word.
   /// Reported by benches; the engine's cost model does not use it.
   std::uint64_t encoded_bytes() const { return encoded_bytes_; }
+
+  /// Same payload, skip index and sizes, word for word.
+  bool operator==(const BlockPostings&) const = default;
 
  private:
   std::vector<std::uint64_t> words_;  // packed gap-1 payload

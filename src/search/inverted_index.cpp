@@ -1,6 +1,7 @@
 #include "search/inverted_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.hpp"
 
@@ -79,13 +80,29 @@ PostingList unite(const PostingList& a, const PostingList& b) {
 }
 
 InvertedIndex InvertedIndex::build(const trace::Corpus& corpus) {
-  InvertedIndex index;
+  // Documents in ascending id order, sorted once: every list then fills in
+  // ascending order and a repeat of its last id is a duplicate, so lists
+  // come out sorted and unique with no per-list sort.
+  const std::vector<trace::Document>& docs = corpus.documents();
+  std::vector<std::uint32_t> order(docs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&docs](std::uint32_t a, std::uint32_t b) {
+              return docs[a].id < docs[b].id;
+            });
+  const std::vector<std::size_t> frequency = corpus.document_frequencies();
   std::vector<std::vector<std::uint64_t>> raw(corpus.vocabulary_size());
-  for (const trace::Document& doc : corpus.documents())
-    for (trace::KeywordId w : doc.words) raw[w].push_back(doc.id);
+  for (std::size_t k = 0; k < raw.size(); ++k) raw[k].reserve(frequency[k]);
+  for (const std::uint32_t d : order)
+    for (const trace::KeywordId w : docs[d].words)
+      if (raw[w].empty() || raw[w].back() != docs[d].id)
+        raw[w].push_back(docs[d].id);
 
+  InvertedIndex index;
   index.lists_.reserve(raw.size());
-  for (auto& ids : raw) index.lists_.emplace_back(std::move(ids));
+  for (auto& ids : raw)
+    index.lists_.push_back(
+        PostingList(std::move(ids), PostingList::SortedUnique{}));
   return index;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "trace/documents.hpp"
@@ -29,6 +30,12 @@ class PostingList {
   bool contains(std::uint64_t id) const;
 
  private:
+  friend class InvertedIndex;
+  struct SortedUnique {};
+  /// Adopts ids already sorted and unique (InvertedIndex::build).
+  PostingList(std::vector<std::uint64_t> doc_ids, SortedUnique)
+      : doc_ids_(std::move(doc_ids)) {}
+
   std::vector<std::uint64_t> doc_ids_;
 };
 

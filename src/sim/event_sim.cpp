@@ -1,14 +1,12 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "search/query_engine.hpp"
+#include "sim/query_kernel.hpp"
 
 namespace cca::sim {
 
@@ -19,20 +17,16 @@ struct Transfer {
   std::uint64_t bytes = 0;
 };
 
-/// Transfer chains stored as one flat arena plus per-chain [begin, end)
-/// spans — one allocation amortized across every chain, instead of a
-/// vector per query.
+/// One shard's transfer chains as a flat arena plus per-chain [begin, end)
+/// spans — one allocation amortized across the shard's chains, instead of
+/// a vector per query. A chain runs from where the previous one ended.
 struct ChainStore {
   std::vector<Transfer> transfers;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
 
-  std::uint32_t open() {
-    spans.push_back({static_cast<std::uint32_t>(transfers.size()),
-                     static_cast<std::uint32_t>(transfers.size())});
-    return static_cast<std::uint32_t>(spans.size() - 1);
-  }
   void close() {
-    spans.back().second = static_cast<std::uint32_t>(transfers.size());
+    const std::uint32_t begin = spans.empty() ? 0 : spans.back().second;
+    spans.push_back({begin, static_cast<std::uint32_t>(transfers.size())});
   }
   std::uint32_t length(std::uint32_t chain) const {
     return spans[chain].second - spans[chain].first;
@@ -42,10 +36,34 @@ struct ChainStore {
   }
 };
 
-/// One in-flight query: its arrival time and its chain in the store.
-struct PendingQuery {
-  double arrival_ms = 0.0;
-  std::uint32_t chain = 0;
+/// One extraction shard: its arrivals' chains and, under faults, their
+/// retry penalties and coverage.
+class ChainSink final : public detail::ShardSink {
+ public:
+  explicit ChainSink(bool faulty) : faulty_(faulty) {}
+
+  void open(std::size_t begin, std::size_t end) override {
+    chains.spans.reserve(end - begin);
+    if (!faulty_) return;
+    penalties.reserve(end - begin);
+    coverage.reserve(end - begin);
+  }
+  void transfer(int from, int, std::uint64_t bytes) override {
+    chains.transfers.push_back({from, bytes});
+  }
+  void finish(const detail::ArrivalResult& r) override {
+    chains.close();
+    if (!faulty_) return;
+    penalties.push_back(r.penalty_ms);
+    coverage.push_back(r.coverage);
+  }
+
+  ChainStore chains;
+  std::vector<double> penalties;
+  std::vector<double> coverage;
+
+ private:
+  bool faulty_;
 };
 
 /// Event: a query step becomes ready to transmit.
@@ -70,139 +88,38 @@ EventSimStats simulate_load(const Cluster& cluster,
   CCA_CHECK_MSG(!trace.empty(), "empty trace");
   CCA_CHECK(config.num_queries >= 1);
   const bool faulty = config.faults != nullptr;
-  if (faulty) {
-    CCA_CHECK_MSG(config.faults->num_nodes() == cluster.num_nodes(),
-                  "fault schedule covers " << config.faults->num_nodes()
-                                           << " nodes, cluster has "
-                                           << cluster.num_nodes());
-  }
-
-  // --- Extract each distinct trace query's transfer chain once (healthy
-  // path; under faults the chain depends on the arrival instant, so it is
-  // resolved per arrival below). ---
-  const search::QueryEngine engine(index);
-  const core::PlacementMap& map = cluster.map();
-  const auto placement = [&map](trace::KeywordId k) {
-    return map.resolve(k);
-  };
-  std::size_t max_width = 0;
-  for (std::size_t q = 0; q < trace.size(); ++q)
-    max_width = std::max(max_width, trace[q].size());
-  search::QueryScratch scratch;
-  scratch.reserve(max_width, engine.max_postings());
-  scratch.begin_epoch(map.cache_token());
-  const auto record_chain = [](ChainStore& store) {
-    return [&store](int from, int to, std::uint64_t bytes) {
-      (void)to;
-      store.transfers.push_back({from, bytes});
-    };
-  };
-  ChainStore chains;
-  if (!faulty) {
-    chains.spans.reserve(trace.size());
-    for (std::size_t q = 0; q < trace.size(); ++q) {
-      chains.open();
-      engine.execute_intersection(trace[q], placement, record_chain(chains),
-                                  &scratch);
-      chains.close();
-    }
-  }
 
   // --- Poisson arrivals. ---
-  common::Rng rng(config.seed ^ 0x51ABCDEF1234ULL);
-  const double mean_gap_ms = 1000.0 / config.arrival_rate_qps;
-  std::vector<PendingQuery> queries(config.num_queries);
-  double clock = 0.0;
-  for (std::size_t q = 0; q < config.num_queries; ++q) {
-    clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
-    queries[q].arrival_ms = clock;
-    if (!faulty)
-      queries[q].chain = static_cast<std::uint32_t>(q % trace.size());
-  }
+  const std::vector<double> arrival_ms = detail::poisson_arrivals(
+      config.seed, config.arrival_rate_qps, config.num_queries);
 
-  // --- Fault path: resolve each arrival's chain against the liveness
-  // snapshot at its arrival instant. Retry penalties delay the query's
-  // start (client-side time, no NIC occupancy). ---
+  // --- Transfer chains, one per arrival, extracted on the pool. Under
+  // faults a chain depends on the arrival instant, and the retry penalty
+  // delays the query's start (client-side time, no NIC occupancy). ---
+  const search::QueryEngine engine(index);
+  const detail::KernelInputs in{engine, cluster.map(), trace,
+                                OperationKind::kIntersection, config.faults,
+                                &config.retry, &arrival_ms};
+  std::vector<ChainSink> shards =
+      detail::run_arrivals(in, 0, config.num_queries, ChainSink(faulty));
+  // The shards joined in shard order: chain q is in shard q / kShardGrain
+  // (the kernel cuts shards of kShardGrain from arrival 0).
+  const auto shard_of = [&shards](std::uint32_t q) -> const ChainSink& {
+    return shards[q / detail::kShardGrain];
+  };
+  const auto length = [&](std::uint32_t q) {
+    return shard_of(q).chains.length(q % detail::kShardGrain);
+  };
   EventSimStats stats;
-  ChainStore fault_chains;
-  std::vector<double> penalties;
-  double coverage_sum = 0.0;
-  if (faulty) {
-    fault_chains.spans.reserve(config.num_queries);
-    penalties.assign(config.num_queries, 0.0);
-    const int num_nodes = cluster.num_nodes();
-    const int degree = map.degree();
-    const bool fully_replicated = degree == num_nodes - 1;
-    std::vector<char> alive(static_cast<std::size_t>(num_nodes), 1);
-    trace::Query sub;
-    std::vector<core::ReplicaSet> resolved;
-    sub.keywords.reserve(max_width);
-    resolved.reserve(max_width);
-    const auto sub_placement = [&](trace::KeywordId k) {
-      for (std::size_t i = 0; i < sub.keywords.size(); ++i)
-        if (sub.keywords[i] == k) return resolved[i];
-      // Unreachable: the engine only asks about sub's keywords.
-      return core::ReplicaSet::single(0);
-    };
-    for (std::size_t q = 0; q < config.num_queries; ++q) {
-      const trace::Query& query = trace[q % trace.size()];
-      const double now = queries[q].arrival_ms;
-      int alive_count = num_nodes;
-      for (int n = 0; n < num_nodes; ++n) {
-        alive[static_cast<std::size_t>(n)] =
-            config.faults->alive(n, now) ? 1 : 0;
-        if (!alive[static_cast<std::size_t>(n)]) --alive_count;
-      }
-      sub.keywords.clear();
-      resolved.clear();
-      for (const trace::KeywordId k : query.keywords) {
-        if (fully_replicated) {
-          if (alive_count > 0) {
-            sub.keywords.push_back(k);
-            resolved.push_back(map.resolve(k));
-          }
-          continue;
-        }
-        int slot = -1;
-        const int node = map.resolve(k).first_alive(
-            alive, config.retry.max_attempts, &slot);
-        const int failed_attempts =
-            node >= 0 ? slot
-                      : std::min(config.retry.max_attempts, degree + 1);
-        if (failed_attempts > 0) {
-          stats.retries += static_cast<std::uint64_t>(failed_attempts);
-          penalties[q] += config.retry.penalty_ms(
-              failed_attempts,
-              static_cast<std::uint64_t>(q) * 1000003ULL +
-                  static_cast<std::uint64_t>(k));
-        }
-        if (node >= 0) {
-          if (slot > 0) ++stats.failovers;
-          sub.keywords.push_back(k);
-          resolved.push_back(core::ReplicaSet::single(node));
-        }
-      }
-      const std::uint32_t chain = fault_chains.open();
-      if (!sub.keywords.empty())
-        engine.execute_intersection(sub, sub_placement,
-                                    record_chain(fault_chains), &scratch);
-      fault_chains.close();
-      const double coverage =
-          query.size() == 0
-              ? 1.0
-              : static_cast<double>(sub.keywords.size()) /
-                    static_cast<double>(query.size());
-      coverage_sum += coverage;
-      if (sub.keywords.size() == query.size())
-        ++stats.fully_served;
-      else if (!sub.keywords.empty())
-        ++stats.degraded;
-      else
-        ++stats.failed;
-      queries[q].chain = chain;
-    }
+  double coverage_sum = 0.0;  // in arrival order
+  for (const ChainSink& shard : shards) {
+    for (const double coverage : shard.coverage) coverage_sum += coverage;
+    stats.retries += shard.outcomes.retries;
+    stats.failovers += shard.outcomes.failovers;
+    stats.fully_served += shard.outcomes.fully_served;
+    stats.degraded += shard.outcomes.degraded;
+    stats.failed += shard.outcomes.failed;
   }
-  const ChainStore& store = faulty ? fault_chains : chains;
 
   // --- Event loop: non-preemptive FIFO per sender NIC. ---
   const double bytes_per_ms = config.nic_mbps * 1000.0 / 8.0;
@@ -216,15 +133,15 @@ EventSimStats simulate_load(const Cluster& cluster,
   std::vector<double> latencies;
   latencies.reserve(config.num_queries);
 
-  for (std::size_t q = 0; q < config.num_queries; ++q) {
-    const double penalty = faulty ? penalties[q] : 0.0;
-    if (store.length(queries[q].chain) == 0) {
+  for (std::uint32_t q = 0; q < config.num_queries; ++q) {
+    const double penalty =
+        faulty ? shard_of(q).penalties[q % detail::kShardGrain] : 0.0;
+    if (length(q) == 0) {
       // Fully local (or fully unserved): no network time, only whatever
       // retry penalty the query burned discovering dead replicas.
       latencies.push_back(penalty);
     } else {
-      events.push({queries[q].arrival_ms + penalty,
-                   static_cast<std::uint32_t>(q), 0});
+      events.push({arrival_ms[q] + penalty, q, 0});
     }
   }
 
@@ -236,8 +153,8 @@ EventSimStats simulate_load(const Cluster& cluster,
     ++events_processed;
     const ReadyEvent ev = events.top();
     events.pop();
-    const PendingQuery& query = queries[ev.query];
-    const Transfer& transfer = store.step(query.chain, ev.step);
+    const Transfer& transfer = shard_of(ev.query).chains.step(
+        ev.query % detail::kShardGrain, ev.step);
 
     const double start = std::max(ev.ready_ms, nic_free[transfer.from]);
     const double tx =
@@ -246,36 +163,27 @@ EventSimStats simulate_load(const Cluster& cluster,
     nic_busy[transfer.from] += tx;
     const double delivered = start + tx + config.per_message_ms;
 
-    if (ev.step + 1 < store.length(query.chain)) {
+    if (ev.step + 1 < length(ev.query)) {
       events.push({delivered, ev.query, ev.step + 1});
     } else {
-      latencies.push_back(delivered - query.arrival_ms);
+      latencies.push_back(delivered - arrival_ms[ev.query]);
       last_completion = std::max(last_completion, delivered);
     }
   }
 
   stats.completed = latencies.size();
   stats.makespan_ms =
-      std::max(last_completion, queries.back().arrival_ms) -
-      queries.front().arrival_ms;
+      std::max(last_completion, arrival_ms.back()) - arrival_ms.front();
   if (!latencies.empty()) {
     stats.mean_latency_ms = common::mean_of(latencies);
     stats.p50_latency_ms = common::percentile(latencies, 50.0);
     stats.p99_latency_ms = common::percentile(latencies, 99.0);
   }
-  if (faulty) {
-    if (config.num_queries > 0) {
-      stats.availability = static_cast<double>(stats.fully_served) /
-                           static_cast<double>(config.num_queries);
-      stats.mean_coverage =
-          coverage_sum / static_cast<double>(config.num_queries);
-    }
-  } else {
-    // Healthy run: every query is fully served by definition.
-    stats.fully_served = config.num_queries;
-    stats.availability = 1.0;
-    stats.mean_coverage = 1.0;
-  }
+  stats.availability = static_cast<double>(stats.fully_served) /
+                       static_cast<double>(config.num_queries);
+  // A healthy run serves every keyword of every query.
+  stats.mean_coverage =
+      faulty ? coverage_sum / static_cast<double>(config.num_queries) : 1.0;
   if (stats.makespan_ms > 0.0) {
     for (double busy : nic_busy)
       stats.max_nic_utilization =

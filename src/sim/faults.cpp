@@ -367,6 +367,29 @@ bool FaultSchedule::alive(int node, double time_ms) const {
   return time_ms >= it->second;  // dead on [crash, recover)
 }
 
+LivenessCursor::LivenessCursor(const FaultSchedule& schedule)
+    : schedule_(&schedule),
+      next_(static_cast<std::size_t>(schedule.num_nodes()), 0),
+      alive_(static_cast<std::size_t>(schedule.num_nodes()), 1),
+      alive_count_(schedule.num_nodes()),
+      now_(-kInf) {}
+
+void LivenessCursor::advance(double time_ms) {
+  CCA_CHECK_MSG(time_ms >= now_, "liveness cursor moved back from "
+                                     << now_ << "ms to " << time_ms << "ms");
+  now_ = time_ms;
+  alive_count_ = 0;
+  for (std::size_t n = 0; n < next_.size(); ++n) {
+    const auto& intervals = schedule_->down_[n];
+    std::size_t& i = next_[n];
+    while (i < intervals.size() && intervals[i].second <= time_ms) ++i;
+    // Dead on [crash, recover): the first interval not yet over covers
+    // time_ms iff it has started.
+    alive_[n] = i == intervals.size() || time_ms < intervals[i].first;
+    alive_count_ += alive_[n];
+  }
+}
+
 std::vector<int> FaultSchedule::dead_nodes(double time_ms) const {
   std::vector<int> dead;
   for (int node = 0; node < num_nodes_; ++node)

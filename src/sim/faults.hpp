@@ -153,12 +153,37 @@ class FaultSchedule {
   bool empty() const { return events_.empty(); }
 
  private:
+  friend class LivenessCursor;
   int num_nodes_ = 0;
   /// Per node: sorted, disjoint [crash, recover) intervals. An interval
   /// whose recovery never happened within the horizon is open-ended
   /// (recover = +infinity).
   std::vector<std::vector<std::pair<double, double>>> down_;
   std::vector<FaultEvent> events_;
+};
+
+/// Liveness along a nondecreasing sequence of instants, as one replay
+/// shard sees its arrivals. Each node keeps an index to its first down
+/// interval not yet over, so a step is amortized O(1) per node instead of
+/// alive()'s binary search; the answer is exactly alive()'s.
+class LivenessCursor {
+ public:
+  explicit LivenessCursor(const FaultSchedule& schedule);
+
+  /// Moves to `time_ms` (never before the previous instant) and refreshes
+  /// alive() and alive_count().
+  void advance(double time_ms);
+
+  /// Per-node mask at the current instant (ReplicaSet::first_alive input).
+  const std::vector<char>& alive() const { return alive_; }
+  int alive_count() const { return alive_count_; }
+
+ private:
+  const FaultSchedule* schedule_;
+  std::vector<std::size_t> next_;
+  std::vector<char> alive_;
+  int alive_count_ = 0;
+  double now_;
 };
 
 /// Client-side reaction to a dead server: per-attempt timeout, capped

@@ -1,14 +1,13 @@
 #include "sim/placement_service.hpp"
 
-#include <cmath>
 #include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "sim/cluster.hpp"
 #include "sim/pool_map.hpp"
+#include "sim/query_kernel.hpp"
 
 namespace cca::sim {
 
@@ -160,19 +159,10 @@ ServiceReplayStats replay_trace_with_service(
   for (std::uint64_t s : sizes) total_index_bytes += static_cast<double>(s);
 
   const std::vector<trace::Query>& queries = trace.queries();
-
-  // Arrival instants, drawn sequentially (same procedure as the fault
-  // replay) — the clock the churn script's times cut against.
-  std::vector<double> arrival_ms(queries.size(), 0.0);
-  {
-    common::Rng rng(config.arrival_seed ^ 0x51ABCDEF1234ULL);
-    const double mean_gap_ms = 1000.0 / config.arrival_rate_qps;
-    double clock = 0.0;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
-      arrival_ms[q] = clock;
-    }
-  }
+  // The clock the churn script's times cut against (the fault replay's).
+  const std::vector<double> arrival_ms = detail::poisson_arrivals(
+      config.arrival_seed, config.arrival_rate_qps, queries.size());
+  const search::QueryEngine engine(index);
 
   ServiceReplayStats stats;
   ReplayCapture capture;
@@ -182,15 +172,13 @@ ServiceReplayStats replay_trace_with_service(
   // scripted.
   const auto replay_segment = [&](std::size_t begin, std::size_t end) {
     if (begin >= end) return;
-    trace::QueryTrace segment(trace.vocabulary_size());
-    for (std::size_t q = begin; q < end; ++q)
-      segment.add_query(queries[q].keywords);
     Cluster cluster(map->num_nodes(), config.capacity_slack *
                                           total_index_bytes /
                                           map->num_nodes());
     cluster.install_placement(map, sizes);
-    const ReplayStats seg = replay_trace(cluster, index, segment, config.kind,
-                                         {}, config.latency, &capture);
+    const ReplayStats seg =
+        detail::replay_range(cluster, engine, trace, begin, end, config.kind,
+                             config.latency, &capture);
     stats.base.queries += seg.queries;
     stats.base.multi_keyword_queries += seg.multi_keyword_queries;
     stats.base.local_queries += seg.local_queries;

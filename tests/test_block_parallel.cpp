@@ -29,6 +29,32 @@ struct ThreadsAndCodecGuard {
   }
 };
 
+TEST(BlockParallel, CompressedIndexEncodeIsThreadCountInvariant) {
+  ThreadsAndCodecGuard guard;
+  trace::CorpusConfig ccfg;
+  ccfg.num_documents = 3000;
+  ccfg.vocabulary_size = 2000;
+  ccfg.mean_distinct_words = 40.0;
+  ccfg.seed = 23;
+  const search::InvertedIndex index =
+      search::InvertedIndex::build(trace::Corpus::generate(ccfg));
+  for (search::PostingCodec codec :
+       {search::PostingCodec::kBlock, search::PostingCodec::kVarint}) {
+    common::set_global_threads(1);
+    const search::CompressedIndex one(index, codec);
+    common::set_global_threads(4);
+    const search::CompressedIndex four(index, codec);
+    EXPECT_EQ(four.max_postings(), one.max_postings());
+    EXPECT_EQ(four.encoded_bytes(), one.encoded_bytes());
+    for (trace::KeywordId k = 0; k < index.vocabulary_size(); ++k) {
+      if (codec == search::PostingCodec::kBlock)
+        ASSERT_TRUE(four.blocks(k) == one.blocks(k)) << "keyword " << k;
+      else
+        ASSERT_EQ(four.varint(k), one.varint(k)) << "keyword " << k;
+    }
+  }
+}
+
 TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
   ThreadsAndCodecGuard guard;
   // 5000 queries span several 1024-query shards, so raising the thread

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "search/inverted_index.hpp"
 #include "search/query_engine.hpp"
 #include "trace/documents.hpp"
@@ -83,6 +84,35 @@ TEST(InvertedIndex, SizesSumToTotal) {
   for (std::uint64_t s : index.index_sizes()) sum += s;
   EXPECT_EQ(sum, index.total_bytes());
   EXPECT_THROW(index.postings(300), common::Error);
+}
+
+TEST(InvertedIndex, SortFreeBuildMatchesPushSortUnique) {
+  // External documents with duplicate ids (whose words merge), unsorted
+  // and repeated words, and ids in no particular order.
+  common::Rng rng(41);
+  std::vector<trace::Document> docs;
+  for (int d = 0; d < 300; ++d) {
+    trace::Document doc;
+    doc.id = rng.next_below(120);  // ~2.5 documents per id
+    for (int w = 0; w < 12; ++w)
+      doc.words.push_back(static_cast<trace::KeywordId>(rng.next_below(60)));
+    docs.push_back(doc);
+  }
+  const trace::Corpus corpus(60, docs);
+  // The reference: push every (word, id), then sort and dedupe each list.
+  std::vector<std::vector<std::uint64_t>> raw(60);
+  for (const trace::Document& doc : corpus.documents())
+    for (const trace::KeywordId w : doc.words) raw[w].push_back(doc.id);
+
+  const InvertedIndex index = InvertedIndex::build(corpus);
+  ASSERT_EQ(index.vocabulary_size(), 60u);
+  std::size_t merged = 0;
+  for (trace::KeywordId k = 0; k < 60; ++k) {
+    const PostingList reference(raw[k]);
+    EXPECT_EQ(index.postings(k).ids(), reference.ids()) << "keyword " << k;
+    merged += raw[k].size() - reference.size();
+  }
+  EXPECT_GT(merged, 0u);  // duplicate ids genuinely collapsed
 }
 
 // ---------- QueryEngine ----------

@@ -13,9 +13,13 @@
 #include <new>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/placement_map.hpp"
 #include "search/inverted_index.hpp"
 #include "search/query_engine.hpp"
+#include "sim/cluster.hpp"
+#include "sim/event_sim.hpp"
+#include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/workload.hpp"
 
@@ -220,6 +224,68 @@ TEST(ZeroAlloc, ScratchlessCallsDoAllocate) {
   AllocWindow window;
   f.engine.execute_intersection(widest, placement);
   EXPECT_GT(window.count(), 0u);
+}
+
+/// Allocations `fn` makes on this thread.
+template <typename Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  AllocWindow window;
+  fn();
+  return window.count();
+}
+
+TEST(ZeroAlloc, SimulatorCallsAllocatePerShardNotPerQuery) {
+  // One thread: every shard runs on the calling thread, where the hook
+  // counts. Each pair of calls differs by six 1024-arrival shards over the
+  // same distinct queries, so the per-call costs (engine build, the one
+  // reused scratch and its block cache) cancel and the difference is
+  // what a shard costs.
+  struct Restore {
+    ~Restore() { common::set_global_threads(0); }
+  } restore;
+  common::set_global_threads(1);
+  const ServingFixture f = ServingFixture::build();
+  sim::Cluster cluster(9, 1e12);
+  cluster.install_placement(std::make_shared<const core::PlacementMap>(f.map),
+                            f.index.index_sizes());
+  const auto cycled = [&f](std::size_t n) {
+    trace::QueryTrace t(f.trace.vocabulary_size());
+    for (std::size_t q = 0; q < n; ++q)
+      t.add_query(f.trace[q % f.trace.size()].keywords);
+    return t;
+  };
+  const trace::QueryTrace small = cycled(2 * 1024);
+  const trace::QueryTrace large = cycled(8 * 1024);
+  constexpr std::uint64_t kExtraShards = 6;
+  constexpr std::uint64_t kPerShard = 32;
+
+  sim::replay_trace(cluster, f.index, large);  // warm-up
+  const std::uint64_t replay_small =
+      allocations_of([&] { sim::replay_trace(cluster, f.index, small); });
+  const std::uint64_t replay_large =
+      allocations_of([&] { sim::replay_trace(cluster, f.index, large); });
+  EXPECT_LE(replay_large, replay_small + kExtraShards * kPerShard)
+      << replay_small << " allocations at 2 shards";
+
+  const sim::FaultSchedule faults = sim::FaultSchedule::from_events(
+      9, {{100.0, 0, sim::FaultEventKind::kCrash},
+          {900.0, 0, sim::FaultEventKind::kRecover}});
+  for (const sim::FaultSchedule* schedule : {
+           static_cast<const sim::FaultSchedule*>(nullptr), &faults}) {
+    sim::EventSimConfig cfg;
+    cfg.arrival_rate_qps = 5000.0;
+    cfg.faults = schedule;
+    const auto simulate = [&](std::size_t arrivals) {
+      cfg.num_queries = arrivals;
+      sim::simulate_load(cluster, f.index, f.trace, cfg);
+    };
+    simulate(8 * 1024);  // warm-up
+    const std::uint64_t sim_small = allocations_of([&] { simulate(2 * 1024); });
+    const std::uint64_t sim_large = allocations_of([&] { simulate(8 * 1024); });
+    EXPECT_LE(sim_large, sim_small + kExtraShards * kPerShard)
+        << (schedule ? "faulty" : "healthy") << ": " << sim_small
+        << " allocations at 2 shards";
+  }
 }
 
 }  // namespace
