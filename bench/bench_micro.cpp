@@ -48,9 +48,38 @@ void BM_Md5Digest64(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5Digest64)->Arg(16)->Arg(64)->Arg(1024)->Arg(65536);
 
+// tail_node over a 20 000-keyword vocabulary on 16 nodes. Arg "table"
+// picks the key source: 1 reads the process-wide digest table (warmed
+// before timing, as every map build after the first finds it), 0 hashes
+// "kw<id>" directly with Md5::digest64 — what each call cost before the
+// table.
+void BM_TailNode(benchmark::State& state) {
+  constexpr trace::KeywordId kVocab = 20000;
+  const bool table = state.range(0) != 0;
+  for (trace::KeywordId k = 0; k < kVocab; ++k)
+    benchmark::DoNotOptimize(core::tail_node(core::HashTail::kMd5, k, 16));
+  for (auto _ : state) {
+    for (trace::KeywordId k = 0; k < kVocab; ++k) {
+      if (table) {
+        benchmark::DoNotOptimize(core::tail_node(core::HashTail::kMd5, k, 16));
+      } else {
+        benchmark::DoNotOptimize(
+            hash::Md5::digest64(trace::keyword_name(k)) % 16);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * kVocab);
+}
+BENCHMARK(BM_TailNode)
+    ->ArgName("table")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
 // One epoch of a state.range(0)-keyword vocabulary on 16 nodes, every
 // tenth keyword pinned off its tail node: the hash tail of every keyword
-// is recomputed, so this row is almost all tail_node (MD5 of "kw<id>").
+// is recomputed from the warm digest table (BM_TailNode), so this row is
+// the map's own copying and pin scan.
 void BM_PlacementMapBuild(benchmark::State& state) {
   const auto vocab = static_cast<trace::KeywordId>(state.range(0));
   core::PlacementMapConfig config;

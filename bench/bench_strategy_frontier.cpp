@@ -9,8 +9,9 @@
 // connectivity-minus-one cost (distinct nodes a query touches, minus one)
 // replayed over the held-out February trace. Strategy wall time goes to
 // the --json dump, giving the quality-vs-time frontier per distribution;
-// the strategy calls of concurrent grid rows take turns, so each cell's
-// wall_ms is its strategy running alone.
+// the strategy calls run one at a time, with the pool to themselves and
+// no other grid work beside them, so each cell's wall_ms is its strategy
+// running alone at the configured thread count.
 //
 //   ./bench_strategy_frontier [--nodes=10] [--scope=1000]
 //       [--qlens=2,2.54,4,6]
@@ -27,7 +28,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,47 +100,67 @@ int main(int argc, char** argv) {
                " minus one (the whole-operation cost the pairwise collapse"
                " approximates)\n\n";
 
-  // One row of cells per query length, grid cells evaluated concurrently.
-  // parallel_map's index-ordered join keeps stdout deterministic.
-  std::mutex strategy_mutex;
-  const auto rows = common::parallel_map(
-      qlens.size(), [&](std::size_t qi) -> std::vector<FrontierCell> {
-        const double qlen = qlens[qi];
+  // Three phases. The rows' inputs (traces, optimizer, hyperedges) build
+  // concurrently; then every timed strategy call runs alone on this
+  // thread, outside any pool batch, so each cell's wall_ms is its
+  // strategy and nothing else; then the lambda evaluations run
+  // concurrently. Index-ordered joins keep stdout deterministic.
+  struct Row {
+    double qlen;
+    trace::QueryTrace january, february;
+    core::PartialOptimizer optimizer;
+
+    Row(const bench::Testbed& tb, const bench::TestbedConfig& cfg,
+        const trace::WorkloadModel& model, double mean_qlen, int nodes,
+        std::size_t scope)
+        : qlen(mean_qlen),
+          january(model.generate(cfg.queries, cfg.seed * 7919 + 1)),
+          february(model.generate(cfg.queries, cfg.seed * 104729 + 2)),
+          optimizer(january, tb.sizes, tb.optimizer_config(nodes, scope)) {
+      optimizer.hyperedge_instance();
+    }
+  };
+  const std::vector<std::unique_ptr<Row>> rows = common::parallel_map(
+      qlens.size(), [&](std::size_t qi) {
         trace::WorkloadConfig wcfg;
         wcfg.vocabulary_size = cfg.vocabulary;
         wcfg.num_topics = cfg.topics;
         wcfg.topic_size = cfg.topic_size;
         wcfg.topic_coherence = cfg.coherence;
         wcfg.disjoint_topics = cfg.disjoint_topics;
-        wcfg.mean_query_length = qlen;
+        wcfg.mean_query_length = qlens[qi];
         wcfg.seed = cfg.seed;
         const trace::WorkloadModel model(wcfg);
-        const trace::QueryTrace january =
-            model.generate(cfg.queries, cfg.seed * 7919 + 1);
-        const trace::QueryTrace february =
-            model.generate(cfg.queries, cfg.seed * 104729 + 2);
-        const core::PartialOptimizer optimizer(
-            january, tb.sizes, tb.optimizer_config(nodes, scope));
-        const core::CcaInstance& scoped = optimizer.hyperedge_instance();
-        const double lambda_total = scoped.total_connectivity_cost();
+        return std::make_unique<Row>(tb, cfg, model, qlens[qi], nodes, scope);
+      });
 
+  std::vector<std::vector<core::PlacementPlan>> plans(rows.size());
+  std::vector<std::vector<double>> wall_ms(rows.size());
+  for (std::size_t qi = 0; qi < rows.size(); ++qi) {
+    for (const std::string& strategy : strategies) {
+      const auto start = std::chrono::steady_clock::now();
+      plans[qi].push_back(rows[qi]->optimizer.run(strategy));
+      wall_ms[qi].push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+  }
+
+  const auto cells_by_row = common::parallel_map(
+      rows.size(), [&](std::size_t qi) -> std::vector<FrontierCell> {
+        const Row& row = *rows[qi];
+        const core::CcaInstance& scoped = row.optimizer.hyperedge_instance();
+        const double lambda_total = scoped.total_connectivity_cost();
         std::vector<FrontierCell> cells;
-        for (const std::string& strategy : strategies) {
-          // Rows run concurrently, but the timed strategy calls take turns
-          // so no cell's wall_ms includes another cell's strategy.
-          std::unique_lock<std::mutex> timed(strategy_mutex);
-          const auto start = std::chrono::steady_clock::now();
-          const core::PlacementPlan plan = optimizer.run(strategy);
+        for (std::size_t si = 0; si < strategies.size(); ++si) {
+          const core::PlacementPlan& plan = plans[qi][si];
           FrontierCell cell;
-          cell.wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-          timed.unlock();
-          cell.qlen = qlen;
-          cell.realized_qlen = january.mean_query_length();
-          cell.strategy = strategy;
+          cell.wall_ms = wall_ms[qi][si];
+          cell.qlen = row.qlen;
+          cell.realized_qlen = row.january.mean_query_length();
+          cell.strategy = strategies[si];
           cell.lambda_feb =
-              core::trace_lambda_cost(february, plan.keyword_to_node);
+              core::trace_lambda_cost(row.february, plan.keyword_to_node);
           core::Placement scoped_placement(
               static_cast<std::size_t>(scoped.num_objects()));
           for (std::size_t pos = 0; pos < plan.scope.size(); ++pos)
@@ -160,7 +181,7 @@ int main(int argc, char** argv) {
                        "lambda-1/query (Feb)", "scoped lambda norm",
                        "pair cost norm", "max load"});
   std::vector<std::string> json_cells;
-  for (const std::vector<FrontierCell>& row : rows) {
+  for (const std::vector<FrontierCell>& row : cells_by_row) {
     for (const FrontierCell& cell : row) {
       table.add_row({common::Table::num(cell.qlen, 2),
                      common::Table::num(cell.realized_qlen, 2), cell.strategy,

@@ -77,16 +77,88 @@ struct PairAdjacency {
   }
 };
 
+/// Peel candidate: key (attachment desc, size desc, group position asc),
+/// a strict total order, so whichever structure holds the candidates the
+/// same member comes out first.
+struct Candidate {
+  double gain;
+  double size;
+  int local;
+  ObjectId object;
+
+  bool ranks_above(const Candidate& o) const {
+    if (gain != o.gain) return gain > o.gain;
+    if (size != o.size) return size > o.size;
+    return local < o.local;
+  }
+};
+
+/// Where a component member stands in the peel of its current group.
+enum : char { kOut, kFree, kPiece };
+
 /// Per-component scratch of the peel, indexed by an object's position in
 /// its component's member list (`local_of`). Members of the group being
-/// peeled are flagged `in_group`; everything else is zero between calls.
+/// peeled are kFree; everything else is kOut with zero attachment (and
+/// every `heap_pos` is -1) between calls.
 struct PeelScratch {
-  std::vector<char> in_group;
-  std::vector<char> in_piece;
+  std::vector<char> state;  // kFree, kPiece (absorbed) or kOut (not in group)
   std::vector<double> attachment;  // non-member -> cost to the piece
+  std::vector<int> heap_pos;       // attached member -> slot in `attached`
+  std::vector<Candidate> attached;  // max-heap of attached members
+  std::vector<Candidate> detached;  // lazy heap of zero-attachment members
 
   explicit PeelScratch(std::size_t n)
-      : in_group(n, 1), in_piece(n, 0), attachment(n, 0.0) {}
+      : state(n, kFree), attachment(n, 0.0), heap_pos(n, -1) {}
+
+  void place(std::size_t slot, const Candidate& c) {
+    attached[slot] = c;
+    heap_pos[c.local] = static_cast<int>(slot);
+  }
+
+  void sift_up(std::size_t slot) {
+    const Candidate c = attached[slot];
+    while (slot > 0) {
+      const std::size_t parent = (slot - 1) / 2;
+      if (!c.ranks_above(attached[parent])) break;
+      place(slot, attached[parent]);
+      slot = parent;
+    }
+    place(slot, c);
+  }
+
+  /// Raises (or inserts) `c` in the attached heap: attachment only grows.
+  void raise(const Candidate& c) {
+    int slot = heap_pos[c.local];
+    if (slot < 0) {
+      slot = static_cast<int>(attached.size());
+      attached.push_back(c);
+    } else {
+      attached[slot].gain = c.gain;
+    }
+    sift_up(static_cast<std::size_t>(slot));
+  }
+
+  /// Removes the attached heap's top: the hole left at the root sinks
+  /// along the larger children to a leaf, and the last entry refills it
+  /// from there with a sift-up (one compare per level down).
+  void pop_attached() {
+    heap_pos[attached.front().local] = -1;
+    const Candidate last = attached.back();
+    attached.pop_back();
+    if (attached.empty()) return;
+    std::size_t slot = 0;
+    const std::size_t n = attached.size();
+    for (;;) {
+      std::size_t child = 2 * slot + 1;
+      if (child >= n) break;
+      if (child + 1 < n && attached[child + 1].ranks_above(attached[child]))
+        ++child;
+      place(slot, attached[child]);
+      slot = child;
+    }
+    attached[slot] = last;
+    sift_up(slot);
+  }
 };
 
 /// Peels one at-most-`limit`-sized piece off an oversized group with a
@@ -100,9 +172,11 @@ struct PeelScratch {
 /// approximation of what the integer program would have to do once a
 /// component cannot fit on one node.
 ///
-/// The next member comes off a lazy max-heap keyed by (attachment desc,
-/// size desc, group position asc) — the order a linear scan with strict
-/// comparisons would pick in — so a piece costs O(E log E) over the
+/// The next member is the best Candidate — the order a linear scan with
+/// strict comparisons would pick in. Attached members sit in a
+/// position-tracked max-heap where an attachment rise is a sift-up; only
+/// when none is attached does the pick fall back to a lazily built heap
+/// of the zero-attachment members, so a piece costs O(E log V) over the
 /// group's pairs instead of O(|group|^2). `group` lists members in
 /// component order, so group position and `local_of` agree in order.
 std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
@@ -110,25 +184,6 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
     const std::vector<int>& local_of, const std::vector<ObjectId>& group,
     double limit, PeelScratch& scratch) {
   CCA_CHECK(group.size() >= 2);
-
-  struct Candidate {
-    double gain;
-    double size;
-    int local;
-    ObjectId object;
-    bool operator<(const Candidate& o) const {
-      if (gain != o.gain) return gain < o.gain;
-      if (size != o.size) return size < o.size;
-      return local > o.local;
-    }
-  };
-  // Every member enters at gain 0; attachment growth pushes fresh keys and
-  // leaves the old ones stale.
-  std::vector<Candidate> heap;
-  heap.reserve(group.size());
-  for (ObjectId i : group)
-    heap.push_back({0.0, instance.object_size(i), local_of[i], i});
-  std::make_heap(heap.begin(), heap.end());
 
   ObjectId seed = group[0];
   for (ObjectId i : group)
@@ -141,21 +196,52 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
   auto absorb = [&](ObjectId i) {
     const int li = local_of[i];
     absorb_order.push_back(i);
-    scratch.in_piece[li] = 1;
+    char* const state = scratch.state.data();
+    double* const attachment = scratch.attachment.data();
+    state[li] = kPiece;
     piece_size += instance.object_size(i);
-    cut -= scratch.attachment[li];  // exact no-op when unattached
-    scratch.attachment[li] = 0.0;
+    // The loop adds to a local copy of the cut (same terms, same order)
+    // that the heap's stores cannot alias.
+    double boundary = cut - attachment[li];  // exact no-op when unattached
+    attachment[li] = 0.0;
     for (const auto& [nbr, cost] : adj.of(i)) {
       const int ln = local_of[nbr];
-      if (!scratch.in_group[ln] || scratch.in_piece[ln]) continue;
-      scratch.attachment[ln] += cost;
-      cut += cost;
-      heap.push_back(
-          {scratch.attachment[ln], instance.object_size(nbr), ln, nbr});
-      std::push_heap(heap.begin(), heap.end());
+      if (state[ln] != kFree) continue;
+      const double a = attachment[ln] + cost;
+      attachment[ln] = a;
+      boundary += cost;
+      scratch.raise({a, instance.object_size(nbr), ln, nbr});
     }
+    cut = boundary;
   };
   absorb(seed);
+
+  // Zero-attachment members stay zero until attached or absorbed, so the
+  // fallback heap is built once, on first need, and entries that have
+  // since been attached or absorbed are dropped as they surface.
+  bool detached_built = false;
+  const auto detached_below = [](const Candidate& a, const Candidate& b) {
+    return b.ranks_above(a);
+  };
+  const auto next_detached = [&]() -> const Candidate& {
+    std::vector<Candidate>& heap = scratch.detached;
+    if (!detached_built) {
+      detached_built = true;
+      for (ObjectId i : group) {
+        const int li = local_of[i];
+        if (scratch.state[li] == kFree && scratch.attachment[li] == 0.0)
+          heap.push_back({0.0, instance.object_size(i), li, i});
+      }
+      std::make_heap(heap.begin(), heap.end(), detached_below);
+    }
+    while (!heap.empty() && (scratch.state[heap.front().local] == kPiece ||
+                             scratch.attachment[heap.front().local] != 0.0)) {
+      std::pop_heap(heap.begin(), heap.end(), detached_below);
+      heap.pop_back();
+    }
+    CCA_CHECK(!heap.empty());
+    return heap.front();
+  };
 
   // Sweep within the window [0.45 * limit, limit]. Fallback: the largest
   // prefix that still fits the limit (prefix 1 when even the seed alone
@@ -168,16 +254,19 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
     best_cut = cut;
   }
   while (piece_size < limit && absorb_order.size() + 1 < group.size()) {
-    while (!heap.empty() && (scratch.in_piece[heap.front().local] ||
-                             heap.front().gain !=
-                                 scratch.attachment[heap.front().local])) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
+    const bool from_attached = !scratch.attached.empty();
+    const Candidate& best =
+        from_attached ? scratch.attached.front() : next_detached();
+    if (piece_size + best.size > limit) break;
+    const ObjectId object = best.object;
+    if (from_attached) {
+      scratch.pop_attached();
+    } else {
+      std::pop_heap(scratch.detached.begin(), scratch.detached.end(),
+                    detached_below);
+      scratch.detached.pop_back();
     }
-    CCA_CHECK(!heap.empty());
-    const ObjectId best = heap.front().object;
-    if (piece_size + instance.object_size(best) > limit) break;
-    absorb(best);
+    absorb(object);
     if (piece_size >= 0.45 * limit && (best_cut < 0.0 || cut < best_cut)) {
       best_cut = cut;
       best_prefix = absorb_order.size();
@@ -190,7 +279,10 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
   // Leave the scratch as the next call expects: the piece drops out of
   // the group, every other flag and attachment returns to zero.
   for (std::size_t t = prefix; t < absorb_order.size(); ++t)
-    scratch.in_piece[local_of[absorb_order[t]]] = 0;
+    scratch.state[local_of[absorb_order[t]]] = kFree;
+  for (const Candidate& c : scratch.attached) scratch.heap_pos[c.local] = -1;
+  scratch.attached.clear();
+  scratch.detached.clear();
   std::vector<ObjectId> piece(absorb_order.begin(),
                               absorb_order.begin() +
                                   static_cast<std::ptrdiff_t>(prefix));
@@ -198,9 +290,8 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
   for (ObjectId i : group) {
     const int li = local_of[i];
     scratch.attachment[li] = 0.0;
-    if (scratch.in_piece[li]) {
-      scratch.in_piece[li] = 0;
-      scratch.in_group[li] = 0;
+    if (scratch.state[li] == kPiece) {
+      scratch.state[li] = kOut;
     } else {
       rest.push_back(i);
     }
@@ -213,34 +304,86 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
 /// every object and moves it to the group holding most of its pair cost,
 /// capacity permitting. Peeling decides the coarse shape; this pass cleans
 /// up the objects the sweep absorbed just before/after a cut landed.
+///
+/// A visit sums its pair costs per group in a dense array, in adjacency
+/// order. When one feasible target holds strictly the most, that decides
+/// the move. An exact tie among the best targets is broken by the
+/// iteration order of a std::unordered_map filled with the same keys in
+/// first-touch order — the rule this pass has always had, which the
+/// placements depend on. That order depends on the map's bucket count,
+/// which only grows on a visit with more keys than any before it, so the
+/// map is also fed on those visits; clear() keeps the bucket array.
 void refine_groups(const CcaInstance& instance, const PairAdjacency& adj,
                    std::vector<int>& group_of, std::vector<double>& sizes,
                    double limit, int passes) {
+  auto& reg = common::MetricsRegistry::global();
+  static common::Counter& move_count =
+      reg.counter("core.components.refine.moves");
+  static common::Counter& tie_count =
+      reg.counter("core.components.refine.ties");
+  std::vector<double> sum(sizes.size(), 0.0);
+  std::vector<char> touched_flag(sizes.size(), 0);
+  std::vector<int> touched;  // groups in first-touch order
   std::unordered_map<int, double> attach;
+  std::size_t max_keys = 0;
+  std::int64_t moves = 0, ties = 0;
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
     for (int i = 0; i < instance.num_objects(); ++i) {
       if (adj.of(i).empty()) continue;
-      attach.clear();
-      for (const auto& [nbr, cost] : adj.of(i)) attach[group_of[nbr]] += cost;
-      const int current = group_of[i];
-      int best = current;
-      double best_gain = attach.count(current) ? attach[current] : 0.0;
-      for (const auto& [g, cost] : attach) {
-        if (g == current || cost <= best_gain) continue;
-        if (sizes[g] + instance.object_size(i) > limit) continue;
-        best = g;
-        best_gain = cost;
+      touched.clear();
+      for (const auto& [nbr, cost] : adj.of(i)) {
+        const int g = group_of[nbr];
+        if (!touched_flag[g]) {
+          touched_flag[g] = 1;
+          sum[g] = 0.0;
+          touched.push_back(g);
+        }
+        sum[g] += cost;
       }
+      const int current = group_of[i];
+      const double size = instance.object_size(i);
+      int best = current;
+      double best_gain = touched_flag[current] ? sum[current] : 0.0;
+      int at_best = 0;  // feasible targets holding best_gain, if a move
+      for (int g : touched) {
+        if (g == current || sum[g] < best_gain) continue;
+        if (sizes[g] + size > limit) continue;
+        if (sum[g] > best_gain) {
+          best = g;
+          best_gain = sum[g];
+          at_best = 1;
+        } else if (best != current) {
+          ++at_best;
+        }
+      }
+      if (at_best > 1 || touched.size() > max_keys) {
+        ties += at_best > 1;
+        max_keys = std::max(max_keys, touched.size());
+        attach.clear();
+        for (int g : touched) attach[g] = sum[g];
+        best = current;
+        best_gain = touched_flag[current] ? sum[current] : 0.0;
+        for (const auto& [g, cost] : attach) {
+          if (g == current || cost <= best_gain) continue;
+          if (sizes[g] + size > limit) continue;
+          best = g;
+          best_gain = cost;
+        }
+      }
+      for (int g : touched) touched_flag[g] = 0;
       if (best != current) {
-        sizes[current] -= instance.object_size(i);
-        sizes[best] += instance.object_size(i);
+        sizes[current] -= size;
+        sizes[best] += size;
         group_of[i] = best;
         moved = true;
+        ++moves;
       }
     }
     if (!moved) break;
   }
+  move_count.add(moves);
+  tie_count.add(ties);
 }
 
 }  // namespace
@@ -272,6 +415,7 @@ PlacementGroups build_groups(const CcaInstance& instance,
                              const ComponentSolverOptions& options) {
   auto& reg = common::MetricsRegistry::global();
   static common::Timer& build_timer = reg.timer("core.components.build_groups");
+  static common::Timer& peel_timer = reg.timer("core.components.peel");
   static common::Timer& refine_timer = reg.timer("core.components.refine");
   static common::Counter& piece_count = reg.counter("core.components.pieces");
   const common::ScopedTimer timed(build_timer);
@@ -311,30 +455,33 @@ PlacementGroups build_groups(const CcaInstance& instance,
   // components run concurrently on the PR-1 pool; merging in component
   // order keeps group numbering (and everything downstream, including
   // stdout) identical for any --threads.
-  std::vector<std::vector<std::vector<ObjectId>>> peeled =
-      common::parallel_map(
-          static_cast<std::size_t>(cs.num_components()), [&](std::size_t c) {
-            std::vector<std::vector<ObjectId>> pieces;
-            std::vector<ObjectId> rest = cs.members[c];
-            double rest_size = cs.sizes[c];
-            // Peel limit-sized pieces until the remainder fits. A single
-            // object above the limit cannot be split further; it is
-            // emitted whole and the capacity ablation reports the
-            // resulting overload.
-            if (rest_size > limit) {
-              PeelScratch scratch(rest.size());
-              while (rest_size > limit && rest.size() >= 2) {
-                auto [piece, remainder] = peel_piece(instance, adj, local_of,
-                                                     rest, limit, scratch);
-                for (ObjectId i : piece)
-                  rest_size -= instance.object_size(i);
-                pieces.push_back(std::move(piece));
-                rest = std::move(remainder);
-              }
+  std::vector<std::vector<std::vector<ObjectId>>> peeled;
+  {
+    const common::ScopedTimer timed_peel(peel_timer);
+    peeled = common::parallel_map(
+        static_cast<std::size_t>(cs.num_components()), [&](std::size_t c) {
+          std::vector<std::vector<ObjectId>> pieces;
+          std::vector<ObjectId> rest = cs.members[c];
+          double rest_size = cs.sizes[c];
+          // Peel limit-sized pieces until the remainder fits. A single
+          // object above the limit cannot be split further; it is
+          // emitted whole and the capacity ablation reports the
+          // resulting overload.
+          if (rest_size > limit) {
+            PeelScratch scratch(rest.size());
+            while (rest_size > limit && rest.size() >= 2) {
+              auto [piece, remainder] = peel_piece(instance, adj, local_of,
+                                                   rest, limit, scratch);
+              for (ObjectId i : piece)
+                rest_size -= instance.object_size(i);
+              pieces.push_back(std::move(piece));
+              rest = std::move(remainder);
             }
-            pieces.push_back(std::move(rest));
-            return pieces;
-          });
+          }
+          pieces.push_back(std::move(rest));
+          return pieces;
+        });
+  }
   for (int c = 0; c < cs.num_components(); ++c) {
     piece_count.add(static_cast<std::int64_t>(peeled[c].size()) - 1);
     for (std::vector<ObjectId>& piece : peeled[c]) emit(c, std::move(piece));

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 
 namespace cca::core {
@@ -68,6 +69,16 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   IncrementalResult result;
   result.stale_cost = instance.communication_cost(current);
 
+  auto& reg = common::MetricsRegistry::global();
+  static common::Timer& groups_timer = reg.timer("core.incremental.groups");
+  static common::Timer& solve_timer = reg.timer("core.incremental.solve");
+  static common::Timer& round_timer = reg.timer("core.incremental.round");
+  static common::Timer& adopt_timer = reg.timer("core.incremental.adopt");
+  const auto timed = [](common::Timer& timer, auto&& work) {
+    const common::ScopedTimer scoped(timer);
+    return work();
+  };
+
   // Fresh LPRR target on the updated instance. Warm-started from the
   // previous reoptimize() round's basis: drift nudges sizes and pair
   // costs but keeps the LP's shape, so phase 2 typically confirms the
@@ -78,12 +89,15 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   ComponentSolverOptions solver_options{config_.seed, config_.component_fill};
   solver_options.warm_cache =
       config_.warm_cache != nullptr ? config_.warm_cache : &own_cache_;
-  const PlacementGroups solver_groups = build_groups(instance, solver_options);
-  const FractionalPlacement x =
-      ComponentLpSolver(solver_options).solve(instance, solver_groups);
-  common::Rng rng(config_.seed ^ 0x1C9E3A7B5D2F4E6AULL);
-  const RoundingResult fresh =
-      round_best_of(x, instance, config_.rounding, rng);
+  const PlacementGroups solver_groups = timed(
+      groups_timer, [&] { return build_groups(instance, solver_options); });
+  const FractionalPlacement x = timed(solve_timer, [&] {
+    return ComponentLpSolver(solver_options).solve(instance, solver_groups);
+  });
+  const RoundingResult fresh = timed(round_timer, [&] {
+    common::Rng rng(config_.seed ^ 0x1C9E3A7B5D2F4E6AULL);
+    return round_best_of(x, instance, config_.rounding, rng);
+  });
   result.fresh_target_cost = fresh.cost;
 
   // Adoption units: per target co-placement group, the members off their
@@ -107,8 +121,10 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   const PlacementGroups groups =
       unit_options.target_fill == solver_options.target_fill
           ? solver_groups
-          : build_groups(instance, unit_options);
+          : timed(groups_timer,
+                  [&] { return build_groups(instance, unit_options); });
 
+  const common::ScopedTimer timed_adopt(adopt_timer);
   Placement working = current;
   std::vector<double> loads = instance.node_loads(working);
   // Node load ceilings for adoption: never exceed capacity — except where

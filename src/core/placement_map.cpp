@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 #include "hash/md5.hpp"
 
@@ -69,9 +70,52 @@ std::int32_t jump_consistent_hash(std::uint64_t key,
   return static_cast<std::int32_t>(b);
 }
 
+namespace {
+
+/// Md5::digest64(keyword_name(k)) for every id below kBound, computed
+/// once per process. Chunks fill under a mutex on first touch and are
+/// published through an atomic pointer, so a reader that sees the pointer
+/// (acquire) sees the chunk's digests (release). Chunks are never freed,
+/// so no reader, on any thread and at any point of shutdown, can be left
+/// holding a dangling one.
+class KeywordDigestTable {
+ public:
+  static constexpr std::uint32_t kChunkBits = 12;
+  static constexpr std::uint32_t kChunk = 1u << kChunkBits;
+  static constexpr std::uint32_t kBound = 1u << 22;
+
+  std::uint64_t digest(trace::KeywordId keyword) {
+    if (keyword >= kBound)
+      return hash::Md5::digest64(trace::keyword_name(keyword));
+    const std::uint64_t* chunk =
+        chunks_[keyword >> kChunkBits].load(std::memory_order_acquire);
+    if (chunk == nullptr) chunk = fill(keyword >> kChunkBits);
+    return chunk[keyword & (kChunk - 1)];
+  }
+
+ private:
+  const std::uint64_t* fill(std::uint32_t c) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::uint64_t* chunk = chunks_[c].load(std::memory_order_relaxed);
+    if (chunk != nullptr) return chunk;
+    auto* digests = new std::uint64_t[kChunk];
+    for (std::uint32_t t = 0; t < kChunk; ++t)
+      digests[t] = hash::Md5::digest64(trace::keyword_name(c * kChunk + t));
+    chunks_[c].store(digests, std::memory_order_release);
+    return digests;
+  }
+
+  std::atomic<const std::uint64_t*> chunks_[kBound / kChunk] = {};
+  std::mutex mutex_;
+};
+
+constinit KeywordDigestTable keyword_digests;
+
+}  // namespace
+
 int tail_node(HashTail tail, trace::KeywordId keyword, int num_nodes) {
   CCA_CHECK(num_nodes >= 1);
-  const std::uint64_t key = hash::Md5::digest64(trace::keyword_name(keyword));
+  const std::uint64_t key = keyword_digests.digest(keyword);
   if (tail == HashTail::kMd5)
     return static_cast<int>(key % static_cast<std::uint64_t>(num_nodes));
   return static_cast<int>(jump_consistent_hash(key, num_nodes));

@@ -52,6 +52,9 @@ const char* hash_tail_name(HashTail tail);
 std::int32_t jump_consistent_hash(std::uint64_t key, std::int32_t num_buckets);
 
 /// The node the tail rule assigns to `keyword` in an `num_nodes`-cluster.
+/// The keyword's MD5 key comes from a process-wide table filled lazily in
+/// 4096-id chunks (ids at or above 2^22 are hashed on each call), so map
+/// builds and epoch swaps hash each keyword once per process. Thread-safe.
 int tail_node(HashTail tail, trace::KeywordId keyword, int num_nodes);
 
 // ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ TEST(BloomIntersection, ObserverSeesBothDirections) {
         return core::ReplicaSet::single(static_cast<int>(k));
       },
       8.0,
-      [&](int from, int to, std::uint64_t bytes) {
+      [&](int /*from*/, int to, std::uint64_t bytes) {
         if (to == 0) to_large += bytes;  // kw0 = large list's node 0
         if (to == 1) to_small += bytes;
       });

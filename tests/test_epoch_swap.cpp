@@ -5,6 +5,7 @@
 // safe against concurrent readers — are exactly what TSan should watch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "common/parallel.hpp"
 #include "core/placement_map.hpp"
+#include "hash/md5.hpp"
 #include "search/inverted_index.hpp"
 #include "sim/placement_service.hpp"
 #include "trace/documents.hpp"
@@ -127,6 +129,50 @@ TEST(EpochSwap, ConcurrentReadersAlwaysSeeACoherentEpoch) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(service.epoch(), 50u);
   EXPECT_EQ(service.acquire()->num_nodes(), 54);
+}
+
+
+TEST(PlacementMap, TailNodeTableMatchesMd5) {
+  // tail_node reads keyword digests from a table that fills lazily, one
+  // 4096-id chunk at a time, on whichever thread touches the chunk first.
+  // Four threads race over ids on both sides of chunk edges (the table's
+  // first and last chunks included) and past its 2^22 bound, which hashes
+  // directly; every answer must match a direct Md5::digest64.
+  constexpr std::uint32_t kChunk = 4096, kBound = 1u << 22;
+  std::vector<trace::KeywordId> ids;
+  for (std::uint32_t edge : {0u, kChunk, 2 * kChunk, 512 * kChunk,
+                             kBound - kChunk, kBound}) {
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      if (edge >= d + 1) ids.push_back(edge - d - 1);
+      ids.push_back(edge + d);
+    }
+  }
+  ids.push_back(0xFFFFFFFFu);
+  const int node_counts[] = {1, 7, 16, 1000};
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<trace::KeywordId> order = ids;
+      std::rotate(order.begin(), order.begin() + 5 * t, order.end());
+      if (t % 2 == 1) std::reverse(order.begin(), order.end());
+      for (trace::KeywordId k : order) {
+        const std::uint64_t key =
+            hash::Md5::digest64(trace::keyword_name(k));
+        for (int n : node_counts) {
+          if (core::tail_node(core::HashTail::kMd5, k, n) !=
+              static_cast<int>(key % static_cast<std::uint64_t>(n)))
+            mismatches.fetch_add(1);
+          if (core::tail_node(core::HashTail::kJump, k, n) !=
+              core::jump_consistent_hash(key, n))
+            mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
