@@ -7,12 +7,13 @@
 //   * wall-clock time of the component-exact solver (all scopes),
 // quantifying why the component path makes reproduction tractable.
 //
-// It then runs a synthetic scaling grid (rows x density x backend) over
+// It then runs a synthetic scaling grid (rows x density x solver) over
 // seeded random LPs, reporting per-cell iteration counts, factorization
-// work, and wall-clock for the dense tableau and the sparse revised
-// simplex. With --json=<path> the grid is also dumped as a JSON array
-// (BENCH_lp_solver.json in the build tree) so the solver's perf
-// trajectory can be tracked across PRs.
+// work, and wall-clock for the dense tableau (the reference oracle) and
+// the production lp::Solver (sparse revised simplex). With --json=<path>
+// the grid is also dumped as a JSON array (BENCH_lp_solver.json in the
+// build tree) so the solver's perf trajectory can be tracked across
+// changes.
 //
 //   ./bench_lp_solver [--nodes=10] [--full-limit=25]
 //                     [--grid-max-rows=400] [--grid-dense-limit=400]
@@ -29,6 +30,7 @@
 #include "common/table.hpp"
 #include "core/component_solver.hpp"
 #include "core/lp_formulation.hpp"
+#include "lp/dense_simplex.hpp"
 #include "lp/model.hpp"
 #include "lp/solution.hpp"
 #include "lp/solver.hpp"
@@ -179,23 +181,18 @@ int main(int argc, char** argv) {
                " described in component_solver.hpp)\n";
 
   // ------------------------------------------------------------------
-  // Scaling grid: rows x density x lane x presolve over seeded random
-  // LPs. Every configuration sees the identical model per cell, so the
-  // objective column doubles as a cross-configuration equivalence check
-  // (the smoke contracts smoke_lp_backend_equiv / smoke_lp_presolve_equiv
-  // and check_lp_grid.py assert it from the JSON dump). Lanes: the dense
-  // tableau, the primal-only revised simplex (PR-4 baseline), and the
-  // revised simplex with the dual warm-restart lane. Each revised-family
-  // cell additionally re-solves an rhs-perturbed sibling warm from the
-  // first solve's basis — the hot-restart pattern bench_drift and the
-  // RecoveryPlanner live on — reporting the warm iteration count (primal
-  // repair vs dual-lane repair at the same cell).
+  // Scaling grid: rows x density x solver over seeded random LPs. Both
+  // solvers see the identical model per cell, so the objective column
+  // doubles as a dense-vs-sparse equivalence check (check_lp_grid.py
+  // asserts it from the JSON dump). The "solver" cell additionally
+  // re-solves an rhs-perturbed sibling warm from the first solve's basis
+  // — the hot-restart pattern bench_drift and the RecoveryPlanner live
+  // on — reporting the warm iteration count and its dual-lane share.
   // ------------------------------------------------------------------
   std::cout << "\nScaling grid — synthetic sparse LPs (cols = 2x rows,"
                " every 5th row an equality)\n\n";
-  common::Table grid({"rows", "cols", "density", "lane", "presolve",
-                      "status", "iters", "dual it", "warm it", "pre -rows",
-                      "pre -cols", "objective", "solve (ms)"});
+  common::Table grid({"rows", "cols", "density", "lane", "status", "iters",
+                      "dual it", "warm it", "objective", "solve (ms)"});
   std::vector<std::string> json_rows;
   for (const int rows : {50, 100, 200, 400}) {
     if (rows > grid_max_rows) continue;
@@ -220,73 +217,59 @@ int main(int argc, char** argv) {
                                    model.rhs(i) + 0.05 * prng.next_double(),
                                    model.row_terms(i));
       }
-      const struct {
-        const char* lane;
-        lp::SolverKind kind;
-      } lanes[] = {{"dense", lp::SolverKind::kDense},
-                   {"revised", lp::SolverKind::kRevised},
-                   {"dual", lp::SolverKind::kDual}};
-      for (const auto& lane : lanes) {
-        if (lane.kind == lp::SolverKind::kDense && rows > grid_dense_limit)
-          continue;
-        for (const bool presolve : {true, false}) {
-          lp::SolverOptions options;
-          options.presolve = presolve;
-          const lp::Solver solver(lane.kind, options);
-          const lp::SolveResult r = solver.solve(model);
-          long warm_iters = -1, warm_dual_iters = -1;
-          if (lane.kind != lp::SolverKind::kDense && !r.basis.empty()) {
+      for (const bool dense : {true, false}) {
+        if (dense && rows > grid_dense_limit) continue;
+        lp::SolveResult r;
+        long warm_iters = -1, warm_dual_iters = -1;
+        if (dense) {
+          r.solution = lp::DenseSimplex().solve(model, &r.stats);
+        } else {
+          const lp::Solver solver;
+          r = solver.solve(model);
+          if (!r.basis.empty()) {
             const lp::SolveResult w = solver.solve(perturbed, &r.basis);
             if (w.optimal()) {
               warm_iters = w.solution.iterations;
               warm_dual_iters = w.stats.dual_iterations;
             }
           }
-          grid.add_row({std::to_string(rows), std::to_string(cols),
-                        common::Table::num(density, 2), lane.lane,
-                        presolve ? "on" : "off",
-                        to_string(r.solution.status),
-                        std::to_string(r.solution.iterations),
-                        std::to_string(r.stats.dual_iterations),
-                        std::to_string(warm_iters),
-                        std::to_string(r.stats.presolve_rows_removed),
-                        std::to_string(r.stats.presolve_cols_removed),
-                        common::Table::num(r.solution.objective, 6),
-                        common::Table::num(r.stats.total_ms, 2)});
-          std::ostringstream row;
-          row << "  {\"seed\": " << cfg.seed << ", \"rows\": " << rows
-              << ", \"cols\": " << cols << ", \"density\": " << density
-              << ", \"lane\": \"" << lane.lane << "\""
-              << ", \"presolve\": \"" << (presolve ? "on" : "off") << "\""
-              << ", \"backend\": \"" << r.stats.backend << "\""
-              << ", \"status\": \"" << to_string(r.solution.status) << "\""
-              << ", \"objective\": " << r.solution.objective
-              << ", \"iterations\": " << r.solution.iterations
-              << ", \"phase1_iterations\": " << r.stats.phase1_iterations
-              << ", \"phase2_iterations\": " << r.stats.phase2_iterations
-              << ", \"dual_iterations\": " << r.stats.dual_iterations
-              << ", \"warm_iterations\": " << warm_iters
-              << ", \"warm_dual_iterations\": " << warm_dual_iters
-              << ", \"presolve_rows_removed\": "
-              << r.stats.presolve_rows_removed
-              << ", \"presolve_cols_removed\": "
-              << r.stats.presolve_cols_removed
-              << ", \"factorizations\": " << r.stats.factorizations
-              << ", \"fill_nnz\": " << r.stats.factor_fill_nnz
-              << ", \"pricing_candidates\": " << r.stats.pricing_candidates
-              << ", \"solve_ms\": " << r.stats.total_ms << "}";
-          json_rows.push_back(row.str());
         }
+        const char* lane = dense ? "dense" : "solver";
+        grid.add_row({std::to_string(rows), std::to_string(cols),
+                      common::Table::num(density, 2), lane,
+                      to_string(r.solution.status),
+                      std::to_string(r.solution.iterations),
+                      std::to_string(r.stats.dual_iterations),
+                      std::to_string(warm_iters),
+                      common::Table::num(r.solution.objective, 6),
+                      common::Table::num(r.stats.total_ms, 2)});
+        std::ostringstream row;
+        row << "  {\"seed\": " << cfg.seed << ", \"rows\": " << rows
+            << ", \"cols\": " << cols << ", \"density\": " << density
+            << ", \"lane\": \"" << lane << "\""
+            << ", \"backend\": \"" << r.stats.backend << "\""
+            << ", \"status\": \"" << to_string(r.solution.status) << "\""
+            << ", \"objective\": " << r.solution.objective
+            << ", \"iterations\": " << r.solution.iterations
+            << ", \"phase1_iterations\": " << r.stats.phase1_iterations
+            << ", \"phase2_iterations\": " << r.stats.phase2_iterations
+            << ", \"dual_iterations\": " << r.stats.dual_iterations
+            << ", \"warm_iterations\": " << warm_iters
+            << ", \"warm_dual_iterations\": " << warm_dual_iters
+            << ", \"factorizations\": " << r.stats.factorizations
+            << ", \"fill_nnz\": " << r.stats.factor_fill_nnz
+            << ", \"pricing_candidates\": " << r.stats.pricing_candidates
+            << ", \"solve_ms\": " << r.stats.total_ms << "}";
+        json_rows.push_back(row.str());
       }
     }
   }
   grid.print(std::cout);
-  std::cout << "\n(identical model per (rows, density) cell across every"
-               " lane x presolve configuration; 'warm it' is the total"
-               " iteration count of re-solving an rhs-perturbed sibling"
-               " from the cell's optimal basis — compare the revised"
-               " lane's phase-1 rebuild against the dual lane's repair"
-               " pivots at the same cell)\n";
+  std::cout << "\n(identical model per (rows, density) cell for both"
+               " lanes; 'warm it' is the total iteration count of"
+               " re-solving an rhs-perturbed sibling from the cell's"
+               " optimal basis through the dual warm-restart lane — compare"
+               " it against the cell's cold 'iters')\n";
 
   if (!cfg.json_path.empty()) {
     std::ofstream out(cfg.json_path);

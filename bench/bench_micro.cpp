@@ -23,7 +23,6 @@
 #include "core/rounding.hpp"
 #include "hash/md5.hpp"
 #include "lp/dense_simplex.hpp"
-#include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/solver.hpp"
 #include "search/block_postings.hpp"
@@ -591,14 +590,13 @@ BENCHMARK(BM_DenseVsRevisedSimplex)
     ->Args({120, 0})
     ->Args({120, 1});
 
-/// Sparse LP in the presolvable regime (singleton / empty rows, fixed and
-/// column-singleton variables), shared by the presolve and dual-lane
-/// micro-benchmarks below. slack_scale shrinks the inequality slack of
+/// Sparse LP with singleton rows and fixed variables for the dual-lane
+/// micro-benchmark below. slack_scale shrinks the inequality slack of
 /// the generator's feasible point: regenerating with the same seed and a
 /// smaller scale yields a tightened sibling that is still feasible by
 /// construction but makes the original optimal basis primal infeasible —
 /// the post-perturbation shape the dual lane repairs.
-lp::Model presolvable_model(int rows, std::uint64_t seed,
+lp::Model sparse_mixed_model(int rows, std::uint64_t seed,
                             double slack_scale = 1.0) {
   common::Rng rng(seed);
   lp::Model model;
@@ -634,44 +632,26 @@ lp::Model presolvable_model(int rows, std::uint64_t seed,
   return model;
 }
 
-void BM_PresolvePass(benchmark::State& state) {
-  // One full presolve reduction loop (rules to fixpoint + reduced-model
-  // assembly), isolated from any simplex work. EXPERIMENTS.md quotes this
-  // as the per-solve overhead presolve must amortize.
-  const lp::Model model =
-      presolvable_model(static_cast<int>(state.range(0)), 17);
-  for (auto _ : state) {
-    lp::Presolve pre;
-    benchmark::DoNotOptimize(pre.run(model));
-    benchmark::DoNotOptimize(pre.reduced_anything());
-  }
-}
-BENCHMARK(BM_PresolvePass)->Arg(100)->Arg(400)->Arg(1600);
-
 void BM_DualWarmRestart(benchmark::State& state) {
   // One dual-lane warm restart: re-solve an rhs-perturbed sibling from
   // the optimal basis, timing the dual ratio-test/BTRAN/FTRAN repair
-  // cycle (a handful of pivots) against the phase-1 rebuild the primal
-  // lane needs for the same hint (state.range(1) selects the lane).
+  // cycle (a handful of pivots) against a hint-free cold solve of the
+  // same sibling (state.range(1) selects warm or cold).
   const int rows = static_cast<int>(state.range(0));
-  const lp::Model base = presolvable_model(rows, 27);
+  const lp::Model base = sparse_mixed_model(rows, 27);
   // Same structure, inequality slack shrunk to 25%: feasible by
   // construction, but tight enough that the base optimum's basis prices
   // out primal infeasible and the warm restart has real repair work.
-  const lp::Model moved = presolvable_model(rows, 27, 0.25);
-  lp::SolverOptions options;
-  options.presolve = false;
-  options.dual_lane = state.range(1) != 0;
-  const lp::Solver solver(options.dual_lane ? lp::SolverKind::kDual
-                                            : lp::SolverKind::kRevised,
-                          options);
+  const lp::Model moved = sparse_mixed_model(rows, 27, 0.25);
+  const lp::Solver solver;
   const lp::SolveResult first = solver.solve(base);
   if (!first.optimal() || first.basis.empty()) {
     state.SkipWithError("base solve did not yield a warm-startable basis");
     return;
   }
+  const lp::Basis* hint = state.range(1) != 0 ? &first.basis : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(moved, &first.basis));
+    benchmark::DoNotOptimize(solver.solve(moved, hint));
   }
 }
 BENCHMARK(BM_DualWarmRestart)

@@ -1,16 +1,13 @@
 """Validates a bench_lp_solver --json grid dump (BENCH_lp_solver.json).
 
 Checks that the dump is valid JSON with the per-cell schema, that every
-cell solved to optimality, and that every configuration of a (rows,
-density) point — lane in {dense, revised, dual}, presolve in {on, off} —
-agrees on the objective: the cross-configuration equivalence half of the
-smoke_lp_backend_equiv / smoke_lp_presolve_equiv contracts, read off the
-synthetic grid instead of the CCA pipeline.
+cell solved to optimality, and that both lanes of a (rows, density) point
+— the dense tableau oracle and the production lp::Solver — agree on the
+objective.
 
 Coverage is strict: every (rows, density) point must carry the identical
-configuration set (a missing cell fails the check), the revised and dual
-lanes must both appear with presolve on AND off, and presolve must remove
-a nonzero number of rows+columns somewhere on the grid.
+lane set (a missing cell fails the check). The dense lane may be cut off
+by --grid-dense-limit, but must then be absent uniformly.
 
 Usage: python3 check_lp_grid.py <grid.json>
 """
@@ -18,18 +15,10 @@ import json
 import sys
 
 REQUIRED = {
-    "rows", "cols", "density", "lane", "presolve", "backend", "status",
+    "rows", "cols", "density", "lane", "backend", "status",
     "objective", "iterations", "phase1_iterations", "phase2_iterations",
     "dual_iterations", "warm_iterations", "warm_dual_iterations",
-    "presolve_rows_removed", "presolve_cols_removed",
     "factorizations", "fill_nnz", "pricing_candidates", "solve_ms",
-}
-
-# Every revised-family configuration must be present at every point; the
-# dense lane may be cut off by --grid-dense-limit but must then be absent
-# uniformly (the identical-config-set check below).
-MANDATORY_CONFIGS = {
-    ("revised", "on"), ("revised", "off"), ("dual", "on"), ("dual", "off"),
 }
 
 
@@ -39,9 +28,8 @@ def main(path):
     if not cells:
         raise SystemExit("grid dump is empty")
     by_point = {}
-    total_removed = 0
-    warm = {"revised": 0, "dual": 0}
-    warm_cells = {"revised": 0, "dual": 0}
+    warm_iters = 0
+    warm_cells = 0
     for cell in cells:
         missing = REQUIRED - set(cell)
         if missing:
@@ -49,46 +37,31 @@ def main(path):
         if cell["status"] != "optimal":
             raise SystemExit(f"cell not optimal: {cell}")
         point = (cell["rows"], cell["density"])
-        config = (cell["lane"], cell["presolve"])
-        configs = by_point.setdefault(point, {})
-        if config in configs:
-            raise SystemExit(f"point {point} duplicates config {config}")
-        configs[config] = cell["objective"]
-        if cell["presolve"] == "on":
-            total_removed += (cell["presolve_rows_removed"] +
-                              cell["presolve_cols_removed"])
-        elif cell["presolve_rows_removed"] or cell["presolve_cols_removed"]:
-            raise SystemExit(f"presolve-off cell reports reductions: {cell}")
-        if cell["lane"] in warm and cell["warm_iterations"] >= 0:
-            warm[cell["lane"]] += cell["warm_iterations"]
-            warm_cells[cell["lane"]] += 1
+        lanes = by_point.setdefault(point, {})
+        if cell["lane"] in lanes:
+            raise SystemExit(f"point {point} duplicates lane {cell['lane']}")
+        lanes[cell["lane"]] = cell["objective"]
+        if cell["warm_iterations"] >= 0:
+            warm_iters += cell["warm_iterations"]
+            warm_cells += 1
     expected = None
-    for point, configs in sorted(by_point.items()):
+    for point, lanes in sorted(by_point.items()):
         if expected is None:
-            expected = set(configs)
-            if not MANDATORY_CONFIGS <= expected:
-                raise SystemExit(
-                    f"grid lacks mandatory configs: "
-                    f"{sorted(MANDATORY_CONFIGS - expected)}")
-        if set(configs) != expected:
+            expected = set(lanes)
+        if set(lanes) != expected:
             raise SystemExit(
-                f"point {point} missing cells: {sorted(expected - set(configs))}"
-                f" extra: {sorted(set(configs) - expected)}")
-        objectives = sorted(configs.items())
-        ref_config, ref = objectives[0]
-        for config, objective in objectives[1:]:
+                f"point {point} missing cells: {sorted(expected - set(lanes))}"
+                f" extra: {sorted(set(lanes) - expected)}")
+        objectives = sorted(lanes.items())
+        ref_lane, ref = objectives[0]
+        for lane, objective in objectives[1:]:
             if abs(objective - ref) > 1e-6 * (1.0 + abs(ref)):
                 raise SystemExit(
-                    f"point {point}: configs disagree, {ref_config}={ref} "
-                    f"{config}={objective}")
-    if total_removed <= 0:
-        raise SystemExit("presolve removed nothing anywhere on the grid")
+                    f"point {point}: lanes disagree, {ref_lane}={ref} "
+                    f"{lane}={objective}")
     print(f"{len(cells)} cells, {len(by_point)} (rows, density) points, "
-          f"{len(expected)} configs each, objectives agree; "
-          f"presolve removed {total_removed} rows+cols; "
-          f"warm restarts: revised {warm['revised']} iters over "
-          f"{warm_cells['revised']} cells, dual {warm['dual']} iters over "
-          f"{warm_cells['dual']} cells")
+          f"{len(expected)} lanes each, objectives agree; "
+          f"warm restarts: {warm_iters} iters over {warm_cells} cells")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,14 @@ function(run_bench out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
+# Metrics dumps are named per bench: several ctest entries run this script
+# concurrently.
+get_filename_component(bench_name ${BENCH} NAME_WE)
+set(dump ${OUT_DIR}/smoke_perturb_${bench_name})
 run_bench(plain_t2 --threads=2)
-run_bench(metrics_t2 --threads=2 --metrics=${OUT_DIR}/smoke_perturb_t2.json)
-run_bench(metrics_t1 --threads=1 --metrics=${OUT_DIR}/smoke_perturb_t1.json)
-run_bench(metrics_t8 --threads=8 --metrics=${OUT_DIR}/smoke_perturb_t8.json)
+run_bench(metrics_t2 --threads=2 --metrics=${dump}_t2.json)
+run_bench(metrics_t1 --threads=1 --metrics=${dump}_t1.json)
+run_bench(metrics_t8 --threads=8 --metrics=${dump}_t8.json)
 
 if(NOT plain_t2 STREQUAL metrics_t2)
   message(FATAL_ERROR "--metrics perturbed bench stdout")

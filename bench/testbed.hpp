@@ -34,7 +34,6 @@
 #include "common/table.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/placement_map.hpp"
-#include "lp/solver.hpp"
 #include "search/block_postings.hpp"
 #include "search/inverted_index.hpp"
 #include "sim/cluster.hpp"
@@ -109,12 +108,8 @@ struct TestbedConfig {
         "miner-width", static_cast<std::int64_t>(cfg.miner.sketch.cm_width)));
     cfg.miner.sketch.cm_depth = static_cast<std::size_t>(args.get_int(
         "miner-depth", static_cast<std::int64_t>(cfg.miner.sketch.cm_depth)));
-    // LP engine knobs, applied process-wide so every solve in the run
-    // inherits them (see the default_* setters in src/lp/solution.hpp and
-    // src/lp/solver.hpp). All are answer-invariant: they change how fast
-    // the simplex reaches the optimum, never which optimum. A bad value
-    // is a hard error naming the flag, the accepted values, and the
-    // closest candidate.
+    // Enum-valued flags: a bad value is a hard error naming the flag, the
+    // accepted values, and the closest candidate.
     const auto enum_error = [](const char* flag, const std::string& got,
                                const std::vector<std::string>& accepted) {
       common::reject_enum_value(flag, got, accepted);
@@ -135,46 +130,6 @@ struct TestbedConfig {
       search::set_default_posting_codec(posting_codec);
     }
     cfg.churn = sim::parse_churn_script(args.get_string("churn", ""));
-    const std::string pricing = args.get_string("lp-pricing", "");
-    if (!pricing.empty()) {
-      lp::PricingRule rule;
-      if (!lp::parse_pricing(pricing, &rule))
-        enum_error("lp-pricing", pricing, {"dantzig", "candidate"});
-      lp::set_default_pricing(rule);
-    }
-    const long refactor =
-        static_cast<long>(args.get_int("lp-refactor-interval", 0));
-    CCA_CHECK_MSG(refactor >= 0, "--lp-refactor-interval must be positive");
-    if (refactor > 0) lp::set_default_refactor_interval(refactor);
-    const std::string warm = args.get_string("lp-warm-start", "");
-    if (!warm.empty()) {
-      if (warm != "on" && warm != "off")
-        enum_error("lp-warm-start", warm, {"on", "off"});
-      lp::set_default_warm_start(warm == "on");
-    }
-    const std::string presolve = args.get_string("lp-presolve", "");
-    if (!presolve.empty()) {
-      if (presolve != "on" && presolve != "off")
-        enum_error("lp-presolve", presolve, {"on", "off"});
-      lp::set_default_presolve(presolve == "on");
-    }
-    const std::string backend = args.get_string("lp-backend", "");
-    if (!backend.empty()) {
-      lp::SolverKind kind;
-      if (!lp::parse_solver_kind(backend, &kind))
-        enum_error("lp-backend", backend,
-                   {"auto", "dense", "revised", "dual", "auto-dual"});
-      lp::set_default_solver_kind(kind);
-      // The dual warm-restart lane follows the backend: the primal-only
-      // 'revised' lane pins it off (the PR-4 ablation baseline), 'dual' /
-      // 'auto-dual' force it on, 'auto' / 'dense' keep the process
-      // default.
-      if (kind == lp::SolverKind::kRevised)
-        lp::set_default_dual_lane(false);
-      else if (kind == lp::SolverKind::kDual ||
-               kind == lp::SolverKind::kAutoDual)
-        lp::set_default_dual_lane(true);
-    }
     // The thread knob takes effect immediately: every bench parses its
     // flags before doing any work, so the pool is sized before first use.
     const int threads = static_cast<int>(args.get_int("threads", 0));

@@ -71,14 +71,14 @@ class RevisedState {
 
   /// Attempts to replace the identity start with `hint`. A full-rank
   /// all-structural basis that is primal feasible for this rhs lets the
-  /// solver skip phase 1 outright (kPrimalFeasible). When `allow_dual` is
-  /// set, a basis that fails only primal feasibility but prices out dual
-  /// feasible against `struct_cost` — exactly what an optimal basis looks
-  /// like after the rhs moved — is installed with its negative basic
-  /// values kept, for run_dual to repair (kDualCandidate). Anything else
-  /// leaves the state untouched (kRejected). Never affects the optimum —
-  /// only the iteration path.
-  WarmOutcome try_warm_start(const Basis& hint, bool allow_dual,
+  /// solver skip phase 1 outright (kPrimalFeasible). A basis that fails
+  /// only primal feasibility but prices out dual feasible against
+  /// `struct_cost` — exactly what an optimal basis looks like after the
+  /// rhs moved — is installed with its negative basic values kept, for
+  /// run_dual to repair (kDualCandidate). Anything else leaves the state
+  /// untouched (kRejected). Never affects the optimal objective — only
+  /// the iteration path and, on a degenerate program, the vertex.
+  WarmOutcome try_warm_start(const Basis& hint,
                              const std::vector<double>& struct_cost) {
     if (hint.num_rows() != m_) return WarmOutcome::kRejected;
     std::vector<char> seen(static_cast<std::size_t>(n_struct_), 0);
@@ -98,7 +98,6 @@ class RevisedState {
       }
 
     if (!primal_feasible) {
-      if (!allow_dual) return WarmOutcome::kRejected;
       // Dual feasibility of the hint: y = c_B' B^-1 from the trial
       // factors (no eta file yet), then price every nonbasic structural
       // column. One btran + one full pricing pass — the cost of a single
@@ -615,17 +614,16 @@ Solution RevisedSimplex::solve(const Model& model, SolveStats* stats,
   };
 
   bool warm = false;
-  if (hint != nullptr && !hint->empty() && options_.warm_start) {
+  if (hint != nullptr && !hint->empty()) {
     stats->warm_start_attempted = true;
-    const WarmOutcome outcome =
-        state->try_warm_start(*hint, options_.dual_lane, canon.cost());
+    const WarmOutcome outcome = state->try_warm_start(*hint, canon.cost());
     if (outcome == WarmOutcome::kPrimalFeasible) {
       warm = true;
     } else if (outcome == WarmOutcome::kDualCandidate) {
-      // The PR-4 "unusable hint" case: dual feasible, primal infeasible.
-      // Run the dual lane; if it restores feasibility we have skipped
-      // phase 1, otherwise fall back to a fresh cold start (the lane's
-      // pivots still count — the work happened).
+      // Dual feasible, primal infeasible: run the dual lane. If it
+      // restores feasibility we have skipped phase 1, otherwise fall back
+      // to a fresh cold start (the lane's pivots still count — the work
+      // happened).
       stats->dual_lane_attempted = true;
       const auto dual_start = Clock::now();
       long dual_iterations = 0;

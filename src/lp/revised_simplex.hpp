@@ -19,13 +19,13 @@
 // solve (same canonical shape, moved costs/rhs): a valid, primal-feasible
 // hint skips phase 1 entirely. When the rhs moved, the old optimal basis
 // is typically no longer primal feasible but remains DUAL feasible
-// (reduced costs do not depend on b); with SolverOptions::dual_lane the
-// solver then runs a dual simplex lane — leaving row by primal
-// infeasibility, entering column by the dual ratio test, on the same
-// LU/eta FTRAN-BTRAN machinery — to repair feasibility in a few pivots
-// instead of rebuilding it with phase 1. The lane is a pure accelerator:
-// on any trouble it abandons the hint and cold-starts, so hints and lanes
-// affect iteration counts, never answers.
+// (reduced costs do not depend on b); the solver then runs a dual simplex
+// lane — leaving row by primal infeasibility, entering column by the dual
+// ratio test, on the same LU/eta FTRAN-BTRAN machinery — to repair
+// feasibility in a few pivots instead of rebuilding it with phase 1. On
+// any trouble the lane abandons the hint and cold-starts. A hint never
+// changes the optimal objective, but on a degenerate program it can
+// change which optimal vertex is returned.
 #pragma once
 
 #include "lp/basis.hpp"
@@ -42,7 +42,7 @@ class RevisedSimplex {
   /// space. When `stats` is non-null it is filled with per-phase iteration
   /// counts, factorization/eta accounting, pricing work, warm-start
   /// outcome, and wall times (backend "revised"). When `hint` names a
-  /// usable basis and options_.warm_start allows it, phase 1 is skipped.
+  /// usable basis, phase 1 is skipped.
   /// When `out_basis` is non-null and the final basis is exportable (all
   /// basic columns structural, status kOptimal) it receives the basis for
   /// later warm starts; otherwise it is cleared.

@@ -1,7 +1,6 @@
 // Solver result types shared by all LP solvers.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "lp/basis.hpp"
@@ -21,14 +20,6 @@ enum class PricingRule {
   /// is identical — only the pivot path and cost change.
   kCandidateList,
 };
-
-inline const char* to_string(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig: return "dantzig";
-    case PricingRule::kCandidateList: return "candidate";
-  }
-  return "unknown";
-}
 
 enum class SolveStatus {
   kOptimal,
@@ -92,20 +83,14 @@ struct SolveStats {
   /// the dual lane (hint dual feasible, lane restored primal feasibility).
   bool warm_start_attempted = false;
   bool warm_start_hit = false;
-  /// Dual simplex lane (revised backend, SolverOptions::dual_lane): the
-  /// hint was primal infeasible but priced out dual feasible, and the
-  /// lane ran. dual_iterations counts its pivots; when the lane gives up
-  /// they are still included (the work happened) and a cold start
-  /// follows, so warm_start_hit stays false.
+  /// Dual simplex lane (revised backend): the hint was primal infeasible
+  /// but priced out dual feasible, and the lane ran. dual_iterations
+  /// counts its pivots; when the lane gives up they are still included
+  /// (the work happened) and a cold start follows, so warm_start_hit
+  /// stays false.
   bool dual_lane_attempted = false;
   long dual_iterations = 0;
-  /// Presolve reductions applied before the backend ran (all zero when
-  /// SolverOptions::presolve is off or nothing fired).
-  int presolve_rows_removed = 0;
-  int presolve_cols_removed = 0;
-  int presolve_passes = 0;
   /// Wall-clock per phase and for the whole solve, milliseconds.
-  double presolve_ms = 0.0;
   double phase1_ms = 0.0;
   double dual_ms = 0.0;
   double phase2_ms = 0.0;
@@ -131,24 +116,6 @@ struct SolveResult {
   SolveStatus status() const { return solution.status; }
 };
 
-/// Process-wide solver defaults, settable from bench flags
-/// (--lp-pricing / --lp-refactor-interval / --lp-warm-start) so every
-/// solve in a run inherits them without threading options through each
-/// call site. SolverOptions reads them at construction; explicit fields
-/// always win afterwards.
-PricingRule default_pricing();
-void set_default_pricing(PricingRule rule);
-long default_refactor_interval();
-void set_default_refactor_interval(long interval);
-bool default_warm_start();
-void set_default_warm_start(bool enabled);
-bool default_dual_lane();
-void set_default_dual_lane(bool enabled);
-bool default_presolve();
-void set_default_presolve(bool enabled);
-/// Parses "dantzig" / "candidate" (returns false on anything else).
-bool parse_pricing(const std::string& text, PricingRule* out);
-
 /// Options common to the simplex solvers.
 struct SolverOptions {
   long max_iterations = 200000;
@@ -161,18 +128,10 @@ struct SolverOptions {
   double pivot_tolerance = 1e-7;
   /// RevisedSimplex: refactorize the basis after this many eta updates to
   /// shed accumulated floating-point error and cap eta-file length.
-  long refactor_interval = default_refactor_interval();
-  /// RevisedSimplex: entering-column selection.
-  PricingRule pricing = default_pricing();
-  /// Whether Solver::solve may use a provided/cached basis hint.
-  bool warm_start = default_warm_start();
-  /// RevisedSimplex: when a warm-start hint is primal infeasible but dual
-  /// feasible (the post-rhs-perturbation shape), repair it with the dual
-  /// simplex lane instead of discarding it and cold-starting phase 1.
-  bool dual_lane = default_dual_lane();
-  /// Solver: run the presolve/postsolve pass (lp/presolve.hpp) around the
-  /// backend. Ignored by the backends themselves.
-  bool presolve = default_presolve();
+  long refactor_interval = 100;
+  /// RevisedSimplex: entering-column selection. Dantzig stays as the
+  /// reference the candidate list is tested against.
+  PricingRule pricing = PricingRule::kCandidateList;
 };
 
 }  // namespace cca::lp

@@ -1,4 +1,4 @@
-// Strict parsing of the bench-wide LP engine flags (bench/testbed.hpp).
+// Strict parsing of the bench-wide testbed flags (bench/testbed.hpp).
 // Every enum-valued flag must hard-error on a bad value with a message
 // that names the flag, lists the accepted values, and suggests the
 // closest candidate — the same contract reject_unused() gives unknown
@@ -11,35 +11,17 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "core/strategy.hpp"
-#include "lp/solution.hpp"
-#include "lp/solver.hpp"
 #include "search/block_postings.hpp"
 
 namespace cca::bench {
 namespace {
 
-// from_cli applies good values process-wide; snapshot and restore the
-// defaults so these tests cannot leak into LP tests in the same binary.
+// from_cli applies --codec process-wide; snapshot and restore the default
+// so these tests cannot leak into other tests in the same binary.
 class BenchFlags : public ::testing::Test {
  protected:
-  void SetUp() override {
-    pricing_ = lp::default_pricing();
-    refactor_ = lp::default_refactor_interval();
-    warm_ = lp::default_warm_start();
-    dual_lane_ = lp::default_dual_lane();
-    presolve_ = lp::default_presolve();
-    kind_ = lp::default_solver_kind();
-    codec_ = search::default_posting_codec();
-  }
-  void TearDown() override {
-    lp::set_default_pricing(pricing_);
-    lp::set_default_refactor_interval(refactor_);
-    lp::set_default_warm_start(warm_);
-    lp::set_default_dual_lane(dual_lane_);
-    lp::set_default_presolve(presolve_);
-    lp::set_default_solver_kind(kind_);
-    search::set_default_posting_codec(codec_);
-  }
+  void SetUp() override { codec_ = search::default_posting_codec(); }
+  void TearDown() override { search::set_default_posting_codec(codec_); }
 
   static TestbedConfig parse(std::initializer_list<const char*> flags) {
     std::vector<const char*> argv{"bench"};
@@ -48,9 +30,15 @@ class BenchFlags : public ::testing::Test {
     return TestbedConfig::from_cli(args);
   }
 
+  /// Parses like a bench main: the testbed flags, then the unknown-flag
+  /// check every bench runs once it has read its own flags.
   static std::string error_of(std::initializer_list<const char*> flags) {
+    std::vector<const char*> argv{"bench"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    const common::CliArgs args(static_cast<int>(argv.size()), argv.data());
     try {
-      parse(flags);
+      TestbedConfig::from_cli(args);
+      args.reject_unused();
     } catch (const common::Error& e) {
       return e.what();
     }
@@ -59,82 +47,21 @@ class BenchFlags : public ::testing::Test {
   }
 
  private:
-  lp::PricingRule pricing_{};
-  long refactor_ = 0;
-  bool warm_ = false;
-  bool dual_lane_ = false;
-  bool presolve_ = false;
-  lp::SolverKind kind_{};
   search::PostingCodec codec_{};
 };
 
-TEST_F(BenchFlags, LpBackendAcceptsAllFiveValues) {
-  const struct {
-    const char* flag;
-    lp::SolverKind kind;
-  } cases[] = {
-      {"--lp-backend=auto", lp::SolverKind::kAuto},
-      {"--lp-backend=dense", lp::SolverKind::kDense},
-      {"--lp-backend=revised", lp::SolverKind::kRevised},
-      {"--lp-backend=dual", lp::SolverKind::kDual},
-      {"--lp-backend=auto-dual", lp::SolverKind::kAutoDual},
-  };
-  for (const auto& c : cases) {
-    parse({c.flag});
-    EXPECT_EQ(lp::default_solver_kind(), c.kind) << c.flag;
+TEST_F(BenchFlags, RemovedLpFlagsAreRejected) {
+  // The LP engine has one solve path; the flags that used to pick a lane
+  // are unknown flags now, so old scripts fail loudly instead of running
+  // with a setting that no longer exists.
+  for (const char* knob : {"backend", "presolve", "pricing", "warm-start",
+                           "refactor-interval"}) {
+    const std::string name = std::string("lp-") + knob;
+    const std::string flag = "--" + name + "=1";
+    const std::string message = error_of({flag.c_str()});
+    EXPECT_NE(message.find("unknown flag --" + name), std::string::npos)
+        << message;
   }
-}
-
-TEST_F(BenchFlags, LpBackendPinsTheDualLaneDefault) {
-  parse({"--lp-backend=revised"});
-  EXPECT_FALSE(lp::default_dual_lane());  // PR-4 primal-only ablation lane
-  parse({"--lp-backend=dual"});
-  EXPECT_TRUE(lp::default_dual_lane());
-  parse({"--lp-backend=auto-dual"});
-  EXPECT_TRUE(lp::default_dual_lane());
-}
-
-TEST_F(BenchFlags, LpBackendBadValueNamesFlagAndSuggests) {
-  const std::string message = error_of({"--lp-backend=duel"});
-  EXPECT_NE(message.find("--lp-backend"), std::string::npos) << message;
-  EXPECT_NE(message.find("'duel'"), std::string::npos) << message;
-  EXPECT_NE(message.find("'auto-dual'"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'dual'?"), std::string::npos)
-      << message;
-}
-
-TEST_F(BenchFlags, LpBackendBadValueWithNoNearMissOmitsSuggestion) {
-  const std::string message = error_of({"--lp-backend=zzz"});
-  EXPECT_NE(message.find("--lp-backend"), std::string::npos) << message;
-  EXPECT_EQ(message.find("did you mean"), std::string::npos) << message;
-}
-
-TEST_F(BenchFlags, LpPresolveParsesOnAndOff) {
-  parse({"--lp-presolve=off"});
-  EXPECT_FALSE(lp::default_presolve());
-  parse({"--lp-presolve=on"});
-  EXPECT_TRUE(lp::default_presolve());
-}
-
-TEST_F(BenchFlags, LpPresolveBadValueNamesFlagAndSuggests) {
-  const std::string message = error_of({"--lp-presolve=onn"});
-  EXPECT_NE(message.find("--lp-presolve"), std::string::npos) << message;
-  EXPECT_NE(message.find("'onn'"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'on'?"), std::string::npos) << message;
-}
-
-TEST_F(BenchFlags, LpPricingBadValueSuggests) {
-  const std::string message = error_of({"--lp-pricing=dantzg"});
-  EXPECT_NE(message.find("--lp-pricing"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'dantzig'?"), std::string::npos)
-      << message;
-}
-
-TEST_F(BenchFlags, LpWarmStartBadValueSuggests) {
-  const std::string message = error_of({"--lp-warm-start=offf"});
-  EXPECT_NE(message.find("--lp-warm-start"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'off'?"), std::string::npos)
-      << message;
 }
 
 TEST_F(BenchFlags, CodecAcceptsBothValuesAndDefaultsToBlock) {
@@ -168,6 +95,12 @@ TEST_F(BenchFlags, HashTailBadValueNamesFlagAndSuggests) {
   EXPECT_NE(message.find("'md5'"), std::string::npos) << message;
   EXPECT_NE(message.find("did you mean 'jump'?"), std::string::npos)
       << message;
+}
+
+TEST_F(BenchFlags, BadValueWithNoNearMissOmitsSuggestion) {
+  const std::string message = error_of({"--hash-tail=zzz"});
+  EXPECT_NE(message.find("--hash-tail"), std::string::npos) << message;
+  EXPECT_EQ(message.find("did you mean"), std::string::npos) << message;
 }
 
 TEST_F(BenchFlags, ChurnScriptParsesThroughTheTestbed) {

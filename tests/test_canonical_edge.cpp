@@ -1,12 +1,10 @@
-// CanonicalForm edge cases: the degenerate model shapes that presolve
-// (lp/presolve.hpp) eliminates — fixed variables (lb == ub), free
-// variables, empty rows, empty columns, all-zero objectives — must
-// already canonicalize and solve correctly WITHOUT presolve, because an
-// unusable presolve reduction falls back to solving the original model.
-// These tests lock that baseline behavior, including the index-map
+// CanonicalForm edge cases: degenerate model shapes — fixed variables
+// (lb == ub), free variables, empty rows, empty columns, all-zero
+// objectives — must canonicalize and solve correctly in both simplex
+// backends. These tests lock that behavior, including the index-map
 // accessors (column_for_variable / minus_column_for_variable /
-// upper_bound_row_for_variable) that basis translation across a presolve
-// reduction relies on.
+// upper_bound_row_for_variable) that name a user variable's canonical
+// columns and rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,8 +86,8 @@ TEST(CanonicalEdge, UpperBoundedOnlyVariableUsesMinusColumn) {
 
 TEST(CanonicalEdge, EmptyRowsCanonicalizeAndSolve) {
   // A constraint with no terms is vacuous when its rhs allows 0. Both
-  // solvers must shrug it off (presolve removes it; without presolve the
-  // slack or artificial column satisfies it).
+  // solvers must shrug it off (the slack or artificial column satisfies
+  // it).
   for (const auto rel :
        {Relation::kLessEqual, Relation::kGreaterEqual, Relation::kEqual}) {
     Model m;

@@ -96,40 +96,21 @@ TEST(CanonicalForm, UpperBoundedOnlyVariableUsesReflection) {
   EXPECT_NEAR(s.x[x], 3.0, 1e-9);
 }
 
-TEST(SolverFacade, AutoDispatchesBySize) {
-  Model small;
-  small.add_variable(0.0, 1.0, 1.0);
-  small.add_constraint(Relation::kLessEqual, 1.0, {{0, 1.0}});
-  EXPECT_EQ(Solver::choose(small), SolverKind::kDense);
-
-  Model tall;
-  const int v = tall.add_variable(0.0, kInfinity, 1.0);
-  for (int i = 0; i < 500; ++i)
-    tall.add_constraint(Relation::kLessEqual, 1.0, {{v, 1.0}});
-  EXPECT_EQ(Solver::choose(tall), SolverKind::kRevised);
-
-  Model wide;
-  for (int j = 0; j < 3000; ++j) wide.add_variable(0.0, 1.0, 1.0);
-  wide.add_constraint(Relation::kLessEqual, 10.0, {{0, 1.0}});
-  EXPECT_EQ(Solver::choose(wide), SolverKind::kRevised);
-}
-
 TEST(SolverFacade, ForcedKindsAgree) {
   Model m;
   const int a = m.add_variable(0.0, kInfinity, -2.0);
   const int b = m.add_variable(0.0, kInfinity, -3.0);
   m.add_constraint(Relation::kLessEqual, 10.0, {{a, 1.0}, {b, 2.0}});
   m.add_constraint(Relation::kLessEqual, 8.0, {{a, 2.0}, {b, 1.0}});
-  const SolveResult dense = Solver(SolverKind::kDense).solve(m);
-  const SolveResult revised = Solver(SolverKind::kRevised).solve(m);
-  const SolveResult automatic = Solver().solve(m);
+  SolveStats dense_stats;
+  const Solution dense = DenseSimplex().solve(m, &dense_stats);
+  const SolveResult solver = Solver().solve(m);
   ASSERT_TRUE(dense.optimal());
-  ASSERT_TRUE(revised.optimal());
-  ASSERT_TRUE(automatic.optimal());
-  EXPECT_NEAR(dense.solution.objective, revised.solution.objective, 1e-8);
-  EXPECT_NEAR(dense.solution.objective, automatic.solution.objective, 1e-8);
-  EXPECT_GT(dense.stats.iterations(), 0);
-  EXPECT_GE(dense.stats.total_ms, 0.0);
+  ASSERT_TRUE(solver.optimal());
+  EXPECT_NEAR(dense.objective, solver.solution.objective, 1e-8);
+  EXPECT_STREQ(solver.stats.backend, "revised");
+  EXPECT_GT(dense_stats.iterations(), 0);
+  EXPECT_GE(dense_stats.total_ms, 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The sparse LP engine: SparseLu kernel unit tests, a 200-case
 // dense-vs-sparse property sweep over a mixed population (feasible,
 // degenerate, infeasible, unbounded), candidate-list vs Dantzig pricing
-// equivalence, warm-start invariance, and the relative ratio-test
-// tie-band regression on wildly scaled rows.
+// equivalence, warm-start invariance, the dual warm-restart lane, and the
+// relative ratio-test tie-band regression on wildly scaled rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -226,7 +226,7 @@ TEST(Pricing, CandidateListMatchesDantzigObjectives) {
 
 TEST(WarmStart, ResolveFromOwnBasisSkipsPhase1) {
   const Model m = random_mixed_lp(77, /*force_kind=*/0);
-  const Solver solver(SolverKind::kRevised);
+  const Solver solver;
   const SolveResult cold = solver.solve(m);
   ASSERT_TRUE(cold.optimal());
   ASSERT_FALSE(cold.basis.empty());
@@ -245,7 +245,7 @@ TEST(WarmStart, ResolveFromOwnBasisSkipsPhase1) {
 TEST(WarmStart, CacheOverloadStoresAndReuses) {
   const Model m = random_mixed_lp(123, /*force_kind=*/0);
   WarmStartCache cache;
-  const Solver solver(SolverKind::kRevised);
+  const Solver solver;
   const SolveResult first = solver.solve(m, &cache);
   ASSERT_TRUE(first.optimal());
   EXPECT_FALSE(first.stats.warm_start_hit);
@@ -264,7 +264,7 @@ TEST(WarmStart, HintsNeverChangePerturbedAnswers) {
   // of the sibling bit-for-tolerance, hit or miss.
   for (std::uint64_t seed = 31; seed <= 40; ++seed) {
     const Model m = random_mixed_lp(seed, /*force_kind=*/0);
-    const Solver solver(SolverKind::kRevised);
+    const Solver solver;
     const SolveResult base = solver.solve(m);
     ASSERT_TRUE(base.optimal()) << "seed " << seed;
 
@@ -286,16 +286,167 @@ TEST(WarmStart, HintsNeverChangePerturbedAnswers) {
   }
 }
 
-TEST(WarmStart, DisabledOptionIgnoresHints) {
-  const Model m = random_mixed_lp(55, /*force_kind=*/0);
-  SolverOptions options;
-  options.warm_start = false;
-  const Solver solver(SolverKind::kRevised, options);
-  const SolveResult cold = solver.solve(m);
+// ---- Dual warm-restart lane. ----
+//
+// An rhs perturbation leaves the old optimal basis dual feasible; the lane
+// repairs it without phase 1 and lands on the objective of a hint-free
+// cold solve.
+
+/// Seeded LP with degenerate structure — a vacuous row, a singleton row,
+/// fixed and unused variables — around a random feasible core built from
+/// a known interior point.
+Model degenerate_mixed_lp(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const int num_vars = 4 + static_cast<int>(rng.next_below(10));
+  Model m;
+  std::vector<double> xstar(static_cast<std::size_t>(num_vars));
+  for (int j = 0; j < num_vars; ++j) {
+    xstar[j] = rng.next_double() * 4.0;
+    const double cost = rng.next_double() * 4.0 - 2.0;
+    const double roll = rng.next_double();
+    if (roll < 0.15) {
+      m.add_variable(xstar[j], xstar[j], cost);  // fixed
+    } else if (roll < 0.25) {
+      m.add_variable(0.0, 9.0, std::abs(cost));  // never touched by a row
+      xstar[j] = 0.0;
+    } else {
+      m.add_variable(0.0, 10.0, cost);
+    }
+  }
+  const int num_rows = 3 + static_cast<int>(rng.next_below(8));
+  for (int i = 0; i < num_rows; ++i) {
+    std::vector<Term> terms;
+    double lhs = 0.0;
+    for (int j = 0; j < num_vars; ++j) {
+      if (rng.next_double() >= 0.4) continue;
+      const double coef = rng.next_double() * 6.0 - 3.0;
+      terms.push_back({j, coef});
+      lhs += coef * xstar[static_cast<std::size_t>(j)];
+    }
+    if (terms.empty()) continue;
+    const double margin = rng.next_double() * 2.0;
+    const double u = rng.next_double();
+    if (u < 0.4) {
+      m.add_constraint(Relation::kLessEqual, lhs + margin, std::move(terms));
+    } else if (u < 0.8) {
+      m.add_constraint(Relation::kGreaterEqual, lhs - margin,
+                       std::move(terms));
+    } else {
+      m.add_constraint(Relation::kEqual, lhs, std::move(terms));
+    }
+  }
+  // A vacuous row and a singleton row.
+  m.add_constraint(Relation::kLessEqual, 1.0 + rng.next_double(), {});
+  m.add_constraint(Relation::kLessEqual, 8.0, {{0, 1.0}});  // singleton
+  return m;
+}
+
+/// Small transportation LP: supplies 3 sources, demands 4 sinks, unique
+/// costs so the optimal vertex (and basis) is unique.
+Model transport_lp(const std::vector<double>& demand) {
+  const std::vector<double> supply = {9.0, 7.0, 8.0};
+  Model m;
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 4; ++j)
+      m.add_variable(0.0, kInfinity, 1.0 + 0.37 * i + 0.11 * j * j +
+                                         0.05 * i * j);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < 4; ++j) terms.push_back({4 * i + j, 1.0});
+    m.add_constraint(Relation::kLessEqual, supply[i], std::move(terms));
+  }
+  for (int j = 0; j < 4; ++j) {
+    std::vector<Term> terms;
+    for (int i = 0; i < 3; ++i) terms.push_back({4 * i + j, 1.0});
+    m.add_constraint(Relation::kEqual, demand[j], std::move(terms));
+  }
+  return m;
+}
+
+TEST(DualLane, RepairsRhsPerturbedWarmStart) {
+  const Solver solver;
+  const Model base = transport_lp({5.0, 6.0, 4.0, 5.0});
+  Basis basis;
+  {
+    const SolveResult r = solver.solve(base);
+    ASSERT_TRUE(r.optimal());
+    ASSERT_FALSE(r.basis.empty());
+    basis = r.basis;
+  }
+  // Perturbed demands: the old basis prices out dual feasible (costs are
+  // unchanged) but its basic values go negative.
+  const Model moved = transport_lp({4.0, 2.0, 7.0, 8.0});
+  const SolveResult warm = solver.solve(moved, &basis);
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.stats.warm_start_attempted);
+  EXPECT_TRUE(warm.stats.dual_lane_attempted);
+  EXPECT_TRUE(warm.stats.warm_start_hit);
+  EXPECT_EQ(warm.stats.phase1_iterations, 0);
+  EXPECT_GT(warm.stats.dual_iterations, 0);
+
+  // Same optimum as a cold solve, in fewer total pivots.
+  const SolveResult cold = solver.solve(moved);
   ASSERT_TRUE(cold.optimal());
-  const SolveResult again = solver.solve(m, &cold.basis);
-  EXPECT_FALSE(again.stats.warm_start_attempted);
-  EXPECT_FALSE(again.stats.warm_start_hit);
+  EXPECT_FALSE(cold.stats.warm_start_attempted);
+  EXPECT_NEAR(warm.solution.objective, cold.solution.objective, 1e-8);
+  EXPECT_LT(warm.solution.iterations, cold.solution.iterations);
+}
+
+TEST(DualLane, ComposesWithCache) {
+  // The production path: a cache threaded through, rhs moving every step
+  // — every re-solve after the first must skip phase 1 (pure phase-2 warm
+  // start or dual-lane repair) and match the cold objective.
+  const Solver solver;
+  WarmStartCache cache;
+  for (int step = 0; step < 4; ++step) {
+    const double d = 0.5 * step;
+    const Model m = transport_lp({5.0 + d, 6.0 - 0.5 * d, 4.0 + d, 5.0 - d});
+    const SolveResult warm = solver.solve(m, &cache);
+    const SolveResult cold = solver.solve(m);
+    ASSERT_TRUE(warm.optimal()) << "step " << step;
+    ASSERT_TRUE(cold.optimal()) << "step " << step;
+    EXPECT_NEAR(warm.solution.objective, cold.solution.objective, 1e-8)
+        << "step " << step;
+    if (step > 0) {
+      EXPECT_TRUE(warm.stats.warm_start_hit) << "step " << step;
+      EXPECT_EQ(warm.stats.phase1_iterations, 0) << "step " << step;
+    }
+  }
+}
+
+TEST(DualLane, RandomizedRhsPerturbationSweep) {
+  // Across seeds: perturb every rhs, warm-restart from the old basis, and
+  // demand agreement with a cold solve. Statuses may differ from optimal
+  // (a perturbation can cut feasibility) — the lane must track the cold
+  // answer in every case.
+  const Solver solver;
+  int repaired = 0;
+  for (std::uint64_t seed = 100; seed < 140; ++seed) {
+    const Model base = degenerate_mixed_lp(seed);
+    const SolveResult first = solver.solve(base);
+    if (!first.optimal() || first.basis.empty()) continue;
+
+    common::Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
+    Model moved;
+    for (int j = 0; j < base.num_variables(); ++j)
+      moved.add_variable(base.lower_bound(j), base.upper_bound(j),
+                         base.objective_coef(j));
+    for (int i = 0; i < base.num_constraints(); ++i)
+      moved.add_constraint(base.relation(i),
+                           base.rhs(i) + rng.next_double() * 3.0 - 1.5,
+                           base.row_terms(i));
+
+    const SolveResult warm = solver.solve(moved, &first.basis);
+    const SolveResult cold = solver.solve(moved);
+    ASSERT_EQ(warm.status(), cold.status()) << "seed " << seed;
+    if (warm.stats.dual_lane_attempted && warm.stats.warm_start_hit)
+      ++repaired;
+    if (!warm.optimal()) continue;
+    EXPECT_NEAR(warm.solution.objective, cold.solution.objective,
+                1e-6 * (1.0 + std::abs(cold.solution.objective)))
+        << "seed " << seed;
+  }
+  EXPECT_GT(repaired, 5);  // the lane fires on a healthy share of seeds
 }
 
 // ---- Ratio-test tie band: near-degenerate rows at large scale. ----
