@@ -7,7 +7,7 @@
 //   trace/   — queries, corpora, workload generation, pair statistics, I/O
 //   search/  — inverted indices, intersection engines, Bloom, compression
 //   core/    — the paper: CCA instances, LP formulation, rounding,
-//              baselines, partial optimization; extensions: multilevel
+//              baselines, partial optimization; extensions: hypergraph
 //              partitioning, incremental re-optimization, plan I/O,
 //              recovery re-placement, versioned placement maps
 //   sim/     — cluster model, replay, latency, load simulation, document
@@ -28,7 +28,6 @@
 #include "core/instance.hpp"
 #include "core/lp_formulation.hpp"
 #include "core/migration.hpp"
-#include "core/multilevel.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/placement_map.hpp"
 #include "core/placements.hpp"

@@ -103,7 +103,7 @@ using Rng = Xoshiro256StarStar;
 /// Components that seed themselves from a user seed should route through
 /// this instead of ad-hoc XOR constants (which risk colliding when two
 /// components run in one process):
-///   common::Rng rng(common::named_stream_seed(seed, "core.multilevel"));
+///   common::Rng rng(common::named_stream_seed(seed, "core.hypergraph.r0"));
 std::uint64_t named_stream_seed(std::uint64_t seed, std::string_view label);
 
 }  // namespace cca::common

@@ -396,10 +396,9 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
   evaluations_counter.add(evaluations);
   moves_counter.add(moves);
 
-  // Overflow drain, mirroring multilevel's repaired rebalance pass:
-  // cheapest lambda-increase evictions first; when nothing fits anywhere
-  // the smallest unpinned object spills to the least-loaded node and the
-  // violation is surfaced through the metric.
+  // Overflow drain: cheapest lambda-increase evictions first; when nothing
+  // fits anywhere the smallest unpinned object spills to the least-loaded
+  // node and the violation is surfaced through the metric.
   static common::Counter& capacity_violations =
       reg.counter("core.hypergraph.capacity_violations");
   std::vector<double> present(static_cast<std::size_t>(N));

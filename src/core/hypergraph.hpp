@@ -37,8 +37,8 @@
 // The restarted V-cycles run concurrently on the shared pool, one named
 // RNG stream each, and the best cycle on the exact objective wins.
 //
-// Pins and per-node capacities are honoured exactly like
-// multilevel_placement; when a node cannot be drained below capacity the
+// Pins are honoured exactly and per-node capacities enforced by an
+// overflow drain; when a node cannot be drained below capacity the
 // overflow spills deterministically and is surfaced through the
 // core.hypergraph.capacity_violations metric.
 #pragma once

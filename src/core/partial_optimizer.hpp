@@ -13,8 +13,9 @@
 //   "lprr"        — Fig. 4 LP relaxation + Algorithm 2.1 rounding (the
 //                   paper's contribution),
 //   "greedy"      — the correlation-aware greedy heuristic,
-//   "multilevel"  — the multilevel partitioner,
-//   "hypergraph"  — multilevel hypergraph partitioner on whole queries
+//   "multilevel"  — the hypergraph partitioner on the pairs-only view
+//                   (each pair a 2-pin net: the paper's pairwise cut),
+//   "hypergraph"  — the same partitioner on whole queries
 //                   (lambda - 1 objective; see core/hypergraph.hpp),
 //   "random-hash" — hash placement for every keyword (scope ignored).
 #pragma once
@@ -29,7 +30,6 @@
 #include "core/correlation.hpp"
 #include "core/hypergraph.hpp"
 #include "core/instance.hpp"
-#include "core/multilevel.hpp"
 #include "core/placement_map.hpp"
 #include "core/placements.hpp"
 #include "core/rounding.hpp"
@@ -55,9 +55,8 @@ struct PartialOptimizerConfig {
   MinerOptions miner;
   RoundingPolicy rounding;       // LPRR only
   GreedyOptions greedy;          // greedy only
-  MultilevelOptions multilevel;  // multilevel only (seed is overridden
-                                 // by `seed` below for determinism)
-  HypergraphOptions hypergraph;  // hypergraph only (seed overridden too)
+  HypergraphOptions hypergraph;  // hypergraph and multilevel (seed is
+                                 // overridden by `seed` below)
   std::uint64_t seed = 1;        // LP vertex choice + rounding stream
   /// LPRR: components larger than this fraction of the smallest node
   /// capacity are pre-split so the rounded placement can respect realized

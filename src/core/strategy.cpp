@@ -13,7 +13,6 @@
 #include "core/component_solver.hpp"
 #include "core/hypergraph.hpp"
 #include "core/lp_formulation.hpp"
-#include "core/multilevel.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/placements.hpp"
 #include "core/rounding.hpp"
@@ -39,6 +38,12 @@ Placement lprr_placement(const PartialOptimizer& opt) {
   return rounded.placement;
 }
 
+HypergraphOptions seeded_hypergraph_options(const PartialOptimizer& opt) {
+  HypergraphOptions options = opt.config().hypergraph;
+  options.seed = opt.config().seed;
+  return options;
+}
+
 }  // namespace
 
 struct StrategyRegistry::Impl {
@@ -57,15 +62,17 @@ StrategyRegistry::StrategyRegistry() {
   add("greedy", [](const PartialOptimizer& opt) {
     return greedy_placement(opt.scoped_instance(), opt.config().greedy);
   });
+  // "multilevel" is the hypergraph partitioner on the pairs-only scoped
+  // instance: each pair lifts to a 2-pin net of weight r*w, so it
+  // minimizes the paper's pairwise cut. It draws the same
+  // "core.hypergraph.r<i>" streams as "hypergraph", on another instance.
   add("multilevel", [](const PartialOptimizer& opt) {
-    MultilevelOptions options = opt.config().multilevel;
-    options.seed = opt.config().seed;
-    return multilevel_placement(opt.scoped_instance(), options);
+    return hypergraph_placement(opt.scoped_instance(),
+                                seeded_hypergraph_options(opt));
   });
   add("hypergraph", [](const PartialOptimizer& opt) {
-    HypergraphOptions options = opt.config().hypergraph;
-    options.seed = opt.config().seed;
-    return hypergraph_placement(opt.hyperedge_instance(), options);
+    return hypergraph_placement(opt.hyperedge_instance(),
+                                seeded_hypergraph_options(opt));
   });
   add("lprr", lprr_placement);
 }

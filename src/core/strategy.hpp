@@ -1,9 +1,10 @@
 // Named placement-strategy registry.
 //
 // Strategies are string-keyed factories that map a configured
-// PartialOptimizer to a placement of its scoped instance. The built-in
-// strategies of the paper ("random-hash", "greedy", "multilevel", "lprr")
-// are registered when the registry is first touched; new strategies
+// PartialOptimizer to a placement of its scoped instance. The built-ins
+// ("random-hash", "greedy", "lprr", and the partitioner as "multilevel"
+// on pairs and "hypergraph" on whole queries) are registered when the
+// registry is first touched; new strategies
 // register at runtime without touching the optimizer, and benches resolve
 // `--strategy` flags by name through the same table:
 //

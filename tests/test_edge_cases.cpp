@@ -8,7 +8,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/component_solver.hpp"
-#include "core/multilevel.hpp"
+#include "core/hypergraph.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/placements.hpp"
 #include "core/rounding.hpp"
@@ -39,7 +39,7 @@ TEST(EdgeCases, SingleNodeEverythingCoLocates) {
                                {{0, 1, 0.9, 5.0}, {1, 2, 0.5, 2.0}});
   for (const core::Placement& p :
        {core::random_hash_placement(inst), core::greedy_placement(inst),
-        core::multilevel_placement(inst)}) {
+        core::hypergraph_placement(inst)}) {
     EXPECT_EQ(p, (core::Placement{0, 0, 0}));
   }
   const core::FractionalPlacement x = core::ComponentLpSolver(1).solve(inst);

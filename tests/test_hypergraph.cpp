@@ -1,9 +1,10 @@
 // Hypergraph partitioner: lambda-1 quality vs brute force, pin/capacity
-// invariants, degenerate hyperedges, the pairwise fallback, determinism
-// across seeds and thread counts, and the refinement's cached gain rows
-// against a from-scratch recompute. Lives in the sanitize-labelled
-// binary: the thread-count determinism claims are what TSan should
-// scrutinise.
+// invariants, degenerate hyperedges, the pairwise fallback (what the
+// "multilevel" strategy runs: cut quality vs brute force and greedy),
+// determinism across seeds and thread counts, and the refinement's cached
+// gain rows against a from-scratch recompute. Lives in the
+// sanitize-labelled binary: the thread-count determinism claims are what
+// TSan should scrutinise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "core/hypergraph_detail.hpp"
 #include "core/instance.hpp"
 #include "core/partial_optimizer.hpp"
+#include "core/placements.hpp"
 #include "trace/workload.hpp"
 
 namespace cca::core {
@@ -137,7 +139,8 @@ TEST(Hypergraph, OnlyDegenerateEdgesFallsBackGracefully) {
 
 TEST(Hypergraph, PairwiseFallbackActsAsGraphPartitioner) {
   // No hyperedges: the pair view is lifted to 2-pin nets, where
-  // lambda - 1 is the cut indicator — the multilevel two-clique check.
+  // lambda - 1 is the cut indicator. Two 4-cliques joined by one weak
+  // edge, capacity one clique per node: only the bridge is cut.
   std::vector<PairWeight> pairs;
   for (int base : {0, 4})
     for (int a = 0; a < 4; ++a)
@@ -148,6 +151,8 @@ TEST(Hypergraph, PairwiseFallbackActsAsGraphPartitioner) {
   const Placement p = hypergraph_placement(inst);
   EXPECT_TRUE(inst.is_feasible(p));
   EXPECT_DOUBLE_EQ(inst.communication_cost(p), 0.05);  // only the bridge
+  for (int v = 1; v < 4; ++v) EXPECT_EQ(p[v], p[0]);
+  for (int v = 5; v < 8; ++v) EXPECT_EQ(p[v], p[4]);
 }
 
 TEST(Hypergraph, DeterministicPerSeed) {
@@ -171,6 +176,126 @@ TEST(Hypergraph, DeterministicPerSeed) {
   HypergraphOptions other = options;
   other.seed = 22;
   EXPECT_TRUE(inst.is_feasible(hypergraph_placement(inst, other)));
+}
+
+// ---------- pairs only: what the "multilevel" strategy runs ----------
+//
+// "multilevel" hands the partitioner the pairs-only scoped instance, so
+// each pair becomes a 2-pin net and the objective is the paper's pairwise
+// cut. These cases hold it to a graph partitioner's contract.
+
+TEST(Multilevel, CompletePlacementWithinNodeRange) {
+  common::Rng rng(4);
+  std::vector<double> sizes(60);
+  for (double& s : sizes) s = 1.0 + rng.next_double() * 2.0;
+  std::vector<PairWeight> pairs;
+  for (int e = 0; e < 120; ++e) {
+    const int i = static_cast<int>(rng.next_below(60));
+    const int j = static_cast<int>(rng.next_below(60));
+    if (i != j) pairs.push_back({i, j, 0.3, 1.0 + rng.next_double() * 4.0});
+  }
+  double total = 0.0;
+  for (double s : sizes) total += s;
+  const CcaInstance inst(sizes, std::vector<double>(5, 2.0 * total / 5), pairs);
+  const Placement p = hypergraph_placement(inst);
+  ASSERT_EQ(static_cast<int>(p.size()), 60);
+  for (NodeId n : p) {
+    EXPECT_GE(n, 0);
+    EXPECT_LT(n, 5);
+  }
+  EXPECT_TRUE(inst.is_feasible(p));
+}
+
+TEST(Multilevel, HonoursPins) {
+  CcaInstance inst({1, 1, 1}, {3, 3}, {{0, 1, 0.9, 5.0}, {1, 2, 0.9, 5.0}});
+  inst.pin(0, 1);
+  const Placement p = hypergraph_placement(inst);
+  EXPECT_EQ(p[0], 1);
+  // The chain should follow the pin (capacity allows all three together).
+  EXPECT_EQ(p[1], 1);
+  EXPECT_EQ(p[2], 1);
+}
+
+TEST(Multilevel, DeterministicPerSeed) {
+  common::Rng rng(8);
+  std::vector<double> sizes(40, 1.0);
+  std::vector<PairWeight> pairs;
+  for (int e = 0; e < 80; ++e) {
+    const int i = static_cast<int>(rng.next_below(40));
+    const int j = static_cast<int>(rng.next_below(40));
+    if (i != j) pairs.push_back({i, j, 0.4, 2.0});
+  }
+  const CcaInstance inst(sizes, {30, 30, 30}, pairs);
+  HypergraphOptions options;
+  options.seed = 77;
+  EXPECT_EQ(hypergraph_placement(inst, options),
+            hypergraph_placement(inst, options));
+  HypergraphOptions other = options;
+  other.seed = 78;
+  EXPECT_TRUE(inst.is_feasible(hypergraph_placement(inst, other)));
+}
+
+TEST(Multilevel, NearOptimalOnSmallInstances) {
+  // Within 1.5x of the brute-force pairwise optimum across several small
+  // random instances.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    common::Rng rng(seed * 31);
+    std::vector<double> sizes(10);
+    for (double& s : sizes) s = 1.0 + rng.next_double();
+    std::vector<PairWeight> pairs;
+    for (int e = 0; e < 14; ++e) {
+      const int i = static_cast<int>(rng.next_below(10));
+      const int j = static_cast<int>(rng.next_below(10));
+      if (i != j)
+        pairs.push_back({i, j, 0.2 + rng.next_double() * 0.7,
+                         0.5 + rng.next_double() * 4.0});
+    }
+    double total = 0.0;
+    for (double s : sizes) total += s;
+    const CcaInstance inst(sizes, std::vector<double>(3, 2.0 * total / 3),
+                           pairs);
+    const auto exact = brute_force_optimal(inst);
+    ASSERT_TRUE(exact.has_value());
+    HypergraphOptions options;
+    options.seed = seed;
+    const Placement p = hypergraph_placement(inst, options);
+    EXPECT_LE(inst.communication_cost(p),
+              1.5 * exact->cost + 0.15 * inst.total_pair_cost())
+        << "seed " << seed;
+  }
+}
+
+TEST(Multilevel, BeatsGreedyOnFragmentedClusters) {
+  // Many small clusters over many nodes: greedy's pair-at-a-time packing
+  // fragments clusters (the paper's criticism); the partitioner keeps
+  // them whole. Compare aggregate cost over the instance.
+  common::Rng rng(12);
+  std::vector<double> sizes;
+  std::vector<PairWeight> pairs;
+  const int kClusters = 30;
+  for (int c = 0; c < kClusters; ++c) {
+    const int base = c * 4;
+    for (int o = 0; o < 4; ++o) sizes.push_back(1.0);
+    for (int a = 0; a < 4; ++a)
+      for (int b = a + 1; b < 4; ++b)
+        pairs.push_back({base + a, base + b, 0.3 + rng.next_double() * 0.5,
+                         2.0});
+  }
+  double total = 0.0;
+  for (double s : sizes) total += s;
+  const CcaInstance inst(
+      sizes, std::vector<double>(12, 2.0 * total / 12), pairs);
+  const double ml = inst.communication_cost(hypergraph_placement(inst));
+  const double greedy = inst.communication_cost(greedy_placement(inst));
+  EXPECT_LE(ml, greedy + 1e-9);
+}
+
+TEST(Multilevel, CoarseningStopsGracefullyOnEdgelessGraphs) {
+  // No edges at all: matching stalls immediately; the partitioner must
+  // still return a feasible placement.
+  const CcaInstance inst(std::vector<double>(20, 1.0), {10, 10, 10}, {});
+  const Placement p = hypergraph_placement(inst);
+  EXPECT_TRUE(inst.is_feasible(p));
 }
 
 // ---------- overflow drain ----------
@@ -211,9 +336,24 @@ TEST(Hypergraph, RepairDrainsDeepOverloadsCompletely) {
   options.coarsen_to = 4;
   options.seed = 12;
   const Placement p = hypergraph_placement(inst, options);
-  reg.set_enabled(false);
   EXPECT_TRUE(inst.is_feasible(p));
   EXPECT_EQ(violations.total(), 16);
+
+  // Pairs only, exact fit: 48 unit objects over 4 nodes of capacity 12 —
+  // zero slack — with strong all-to-all attraction forcing a long drain.
+  violations.reset();
+  common::Rng pair_rng(3);
+  std::vector<PairWeight> pairs;
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if (pair_rng.next_double() < 0.4)
+        pairs.push_back({i, j, 0.5 + 0.5 * pair_rng.next_double(), 4.0});
+  const CcaInstance exact_fit(std::vector<double>(n, 1.0),
+                              std::vector<double>(4, 12.0), pairs);
+  const Placement q = hypergraph_placement(exact_fit);
+  reg.set_enabled(false);
+  EXPECT_TRUE(exact_fit.is_feasible(q));
+  EXPECT_EQ(violations.total(), 0);
 }
 
 TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
@@ -231,7 +371,6 @@ TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
   inst.pin(0, 0);
   inst.pin(1, 0);  // pinned load 6 > capacity 4
   const Placement p = hypergraph_placement(inst);
-  reg.set_enabled(false);
   ASSERT_EQ(p.size(), 4u);
   EXPECT_EQ(p[0], 0);
   EXPECT_EQ(p[1], 0);
@@ -240,6 +379,23 @@ TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
     EXPECT_LT(k, 2);
   }
   // Four objects never coarsen: one counted give-up per restart.
+  EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
+
+  // The same pinned overload on a pairs-only instance.
+  violations.reset();
+  CcaInstance pairwise({3, 3, 1, 1}, {4.0, 4.0},
+                       {{0, 2, 0.9, 2.0}, {1, 3, 0.9, 2.0}});
+  pairwise.pin(0, 0);
+  pairwise.pin(1, 0);
+  const Placement q = hypergraph_placement(pairwise);
+  reg.set_enabled(false);
+  ASSERT_EQ(q.size(), 4u);
+  EXPECT_EQ(q[0], 0);
+  EXPECT_EQ(q[1], 0);
+  for (NodeId k : q) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 2);
+  }
   EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
 }
 
@@ -257,7 +413,6 @@ TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
                        {{5, 6, 7, 8, 9}, 1.0},
                        {{0, 9}, 0.5}});
   const Placement p = hypergraph_placement(inst);
-  reg.set_enabled(false);
   ASSERT_EQ(p.size(), 10u);
   for (NodeId k : p) {
     EXPECT_GE(k, 0);
@@ -265,6 +420,21 @@ TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
   }
   // Draining node 0 spills onto node 1, whose drain spills it all back:
   // nine counted spills per restart, and the drain still ends.
+  EXPECT_EQ(violations.total(), 36);
+
+  // The same oversubscription on a pairs-only 10-clique.
+  violations.reset();
+  std::vector<PairWeight> pairs;
+  for (int i = 0; i < 10; ++i)
+    for (int j = i + 1; j < 10; ++j) pairs.push_back({i, j, 0.9, 1.0});
+  const CcaInstance pairwise(std::vector<double>(10, 1.0), {2.0, 2.0}, pairs);
+  const Placement q = hypergraph_placement(pairwise);
+  reg.set_enabled(false);
+  ASSERT_EQ(q.size(), 10u);
+  for (NodeId k : q) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 2);
+  }
   EXPECT_EQ(violations.total(), 36);
 }
 
@@ -479,7 +649,7 @@ TEST(Hypergraph, BitIdenticalAcrossThreadCounts) {
 TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   // Mean query length 4: the two-smallest-objects pairwise collapse loses
   // information that the hyperedge view keeps. Whole-query cost must not
-  // be worse than multilevel's on the same pipeline.
+  // be worse than the pairwise view's ("multilevel") on the same pipeline.
   const PartialOptimizer opt = make_optimizer(4.0, 3);
   const CcaInstance& scoped = opt.hyperedge_instance();
   ASSERT_TRUE(scoped.has_hyperedges());

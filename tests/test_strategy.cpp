@@ -1,6 +1,7 @@
 // StrategyRegistry: built-in coverage, lookup errors, runtime
 // registration of a custom strategy end-to-end through
-// PartialOptimizer::run, and --strategies list parsing.
+// PartialOptimizer::run, --strategies list parsing, and what the
+// "multilevel" built-in runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,8 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
+#include "core/hypergraph.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/strategy.hpp"
 #include "trace/workload.hpp"
@@ -123,6 +126,46 @@ TEST(StrategyRegistry, CustomStrategyRunsThroughOptimizer) {
   EXPECT_EQ(plan.strategy, "test-all-to-node-zero");
   for (trace::KeywordId k : plan.scope)
     EXPECT_EQ(plan.keyword_to_node[k], 0);
+}
+
+TEST(StrategyRegistry, MultilevelIsHypergraphOnThePairwiseView) {
+  // "multilevel" is the hypergraph partitioner on the pairs-only scoped
+  // instance, seeded from the config: the same plan as a strategy that
+  // calls it directly, at any thread count.
+  StrategyRegistry& reg = StrategyRegistry::global();
+  if (!reg.contains("test-hypergraph-on-pairs")) {
+    reg.add("test-hypergraph-on-pairs", [](const PartialOptimizer& opt) {
+      HypergraphOptions options;
+      options.seed = opt.config().seed;
+      return hypergraph_placement(opt.scoped_instance(), options);
+    });
+  }
+
+  trace::WorkloadConfig wcfg;
+  wcfg.vocabulary_size = 300;
+  wcfg.num_topics = 20;
+  wcfg.topic_size = 6;
+  wcfg.mean_query_length = 4.0;
+  wcfg.seed = 11;
+  const trace::QueryTrace trace = trace::WorkloadModel(wcfg).generate(4000, 7);
+  std::vector<std::uint64_t> sizes(wcfg.vocabulary_size);
+  for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 64 + k;
+
+  PartialOptimizerConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.scope = 120;
+  cfg.seed = 7;
+  const PartialOptimizer opt(trace, sizes, cfg);
+  ASSERT_FALSE(opt.scoped_instance().has_hyperedges());
+  const PlacementPlan direct = opt.run("test-hypergraph-on-pairs");
+  for (const int threads : {1, 2, 8}) {
+    common::set_global_threads(threads);
+    const PlacementPlan plan = opt.run("multilevel");
+    EXPECT_EQ(plan.strategy, "multilevel");
+    EXPECT_EQ(plan.keyword_to_node, direct.keyword_to_node)
+        << "threads=" << threads;
+  }
+  common::set_global_threads(0);
 }
 
 }  // namespace
