@@ -139,8 +139,8 @@ TEST(Hypergraph, OnlyDegenerateEdgesFallsBackGracefully) {
 
 TEST(Hypergraph, PairwiseFallbackActsAsGraphPartitioner) {
   // No hyperedges: the pair view is lifted to 2-pin nets, where
-  // lambda - 1 is the cut indicator. Two 4-cliques joined by one weak
-  // edge, capacity one clique per node: only the bridge is cut.
+  // lambda - 1 is the cut indicator: only the bridge between the two
+  // cliques is cut.
   std::vector<PairWeight> pairs;
   for (int base : {0, 4})
     for (int a = 0; a < 4; ++a)
@@ -151,8 +151,6 @@ TEST(Hypergraph, PairwiseFallbackActsAsGraphPartitioner) {
   const Placement p = hypergraph_placement(inst);
   EXPECT_TRUE(inst.is_feasible(p));
   EXPECT_DOUBLE_EQ(inst.communication_cost(p), 0.05);  // only the bridge
-  for (int v = 1; v < 4; ++v) EXPECT_EQ(p[v], p[0]);
-  for (int v = 5; v < 8; ++v) EXPECT_EQ(p[v], p[4]);
 }
 
 TEST(Hypergraph, DeterministicPerSeed) {
@@ -183,6 +181,23 @@ TEST(Hypergraph, DeterministicPerSeed) {
 // "multilevel" hands the partitioner the pairs-only scoped instance, so
 // each pair becomes a 2-pin net and the objective is the paper's pairwise
 // cut. These cases hold it to a graph partitioner's contract.
+
+TEST(Multilevel, SeparatesTwoCliquesAlongTheBridge) {
+  // Two 4-cliques joined by one weak edge; capacity fits one clique each.
+  std::vector<PairWeight> pairs;
+  for (int base : {0, 4})
+    for (int a = 0; a < 4; ++a)
+      for (int b = a + 1; b < 4; ++b)
+        pairs.push_back({base + a, base + b, 0.5, 8.0});
+  pairs.push_back({3, 4, 0.05, 1.0});
+  const CcaInstance inst(std::vector<double>(8, 1.0), {4.0, 4.0}, pairs);
+
+  const Placement p = hypergraph_placement(inst);
+  EXPECT_TRUE(inst.is_feasible(p));
+  EXPECT_DOUBLE_EQ(inst.communication_cost(p), 0.05);  // only the bridge
+  for (int v = 1; v < 4; ++v) EXPECT_EQ(p[v], p[0]);
+  for (int v = 5; v < 8; ++v) EXPECT_EQ(p[v], p[4]);
+}
 
 TEST(Multilevel, CompletePlacementWithinNodeRange) {
   common::Rng rng(4);
@@ -336,24 +351,10 @@ TEST(Hypergraph, RepairDrainsDeepOverloadsCompletely) {
   options.coarsen_to = 4;
   options.seed = 12;
   const Placement p = hypergraph_placement(inst, options);
+  reg.set_enabled(false);
   EXPECT_TRUE(inst.is_feasible(p));
   EXPECT_EQ(violations.total(), 16);
 
-  // Pairs only, exact fit: 48 unit objects over 4 nodes of capacity 12 —
-  // zero slack — with strong all-to-all attraction forcing a long drain.
-  violations.reset();
-  common::Rng pair_rng(3);
-  std::vector<PairWeight> pairs;
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      if (pair_rng.next_double() < 0.4)
-        pairs.push_back({i, j, 0.5 + 0.5 * pair_rng.next_double(), 4.0});
-  const CcaInstance exact_fit(std::vector<double>(n, 1.0),
-                              std::vector<double>(4, 12.0), pairs);
-  const Placement q = hypergraph_placement(exact_fit);
-  reg.set_enabled(false);
-  EXPECT_TRUE(exact_fit.is_feasible(q));
-  EXPECT_EQ(violations.total(), 0);
 }
 
 TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
@@ -371,6 +372,7 @@ TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
   inst.pin(0, 0);
   inst.pin(1, 0);  // pinned load 6 > capacity 4
   const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
   ASSERT_EQ(p.size(), 4u);
   EXPECT_EQ(p[0], 0);
   EXPECT_EQ(p[1], 0);
@@ -381,22 +383,6 @@ TEST(Hypergraph, UnavoidablePinOverloadIsCountedNotLooped) {
   // Four objects never coarsen: one counted give-up per restart.
   EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
 
-  // The same pinned overload on a pairs-only instance.
-  violations.reset();
-  CcaInstance pairwise({3, 3, 1, 1}, {4.0, 4.0},
-                       {{0, 2, 0.9, 2.0}, {1, 3, 0.9, 2.0}});
-  pairwise.pin(0, 0);
-  pairwise.pin(1, 0);
-  const Placement q = hypergraph_placement(pairwise);
-  reg.set_enabled(false);
-  ASSERT_EQ(q.size(), 4u);
-  EXPECT_EQ(q[0], 0);
-  EXPECT_EQ(q[1], 0);
-  for (NodeId k : q) {
-    EXPECT_GE(k, 0);
-    EXPECT_LT(k, 2);
-  }
-  EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
 }
 
 TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
@@ -413,6 +399,7 @@ TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
                        {{5, 6, 7, 8, 9}, 1.0},
                        {{0, 9}, 0.5}});
   const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
   ASSERT_EQ(p.size(), 10u);
   for (NodeId k : p) {
     EXPECT_GE(k, 0);
@@ -422,16 +409,75 @@ TEST(Hypergraph, OversubscribedInstanceTerminatesWithSpills) {
   // nine counted spills per restart, and the drain still ends.
   EXPECT_EQ(violations.total(), 36);
 
-  // The same oversubscription on a pairs-only 10-clique.
+}
+
+TEST(Multilevel, RepairDrainsDeepOverloadsCompletely) {
+  // Pairs only, exact fit: 48 unit objects over 4 nodes of capacity 12 —
+  // zero slack — with strong all-to-all attraction forcing a long drain.
+  // The result must be feasible and must not count any violation.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
   violations.reset();
+
+  common::Rng rng(3);
+  const int n = 48;
+  std::vector<PairWeight> pairs;
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if (rng.next_double() < 0.4)
+        pairs.push_back({i, j, 0.5 + 0.5 * rng.next_double(), 4.0});
+  const CcaInstance inst(std::vector<double>(n, 1.0),
+                         std::vector<double>(4, 12.0), pairs);
+  const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
+  EXPECT_TRUE(inst.is_feasible(p));
+  EXPECT_EQ(violations.total(), 0);
+}
+
+TEST(Multilevel, UnavoidablePinOverloadIsCountedNotLooped) {
+  // The pinned overload of the hypergraph case above, on a pairs-only
+  // instance: the drain ends and counts one give-up per restart.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
+  violations.reset();
+
+  CcaInstance inst({3, 3, 1, 1}, {4.0, 4.0},
+                   {{0, 2, 0.9, 2.0}, {1, 3, 0.9, 2.0}});
+  inst.pin(0, 0);
+  inst.pin(1, 0);  // pinned load 6 > capacity 4
+  const Placement p = hypergraph_placement(inst);
+  reg.set_enabled(false);
+  ASSERT_EQ(p.size(), 4u);
+  EXPECT_EQ(p[0], 0);
+  EXPECT_EQ(p[1], 0);
+  for (NodeId k : p) {
+    EXPECT_GE(k, 0);
+    EXPECT_LT(k, 2);
+  }
+  EXPECT_EQ(violations.total(), HypergraphOptions{}.restarts);
+}
+
+TEST(Multilevel, OversubscribedInstanceTerminatesWithSpills) {
+  // The oversubscription of the hypergraph case above on a pairs-only
+  // 10-clique: a complete placement and the same counted spills.
+  common::MetricsRegistry& reg = common::MetricsRegistry::global();
+  common::Counter& violations =
+      reg.counter("core.hypergraph.capacity_violations");
+  reg.set_enabled(true);
+  violations.reset();
+
   std::vector<PairWeight> pairs;
   for (int i = 0; i < 10; ++i)
     for (int j = i + 1; j < 10; ++j) pairs.push_back({i, j, 0.9, 1.0});
-  const CcaInstance pairwise(std::vector<double>(10, 1.0), {2.0, 2.0}, pairs);
-  const Placement q = hypergraph_placement(pairwise);
+  const CcaInstance inst(std::vector<double>(10, 1.0), {2.0, 2.0}, pairs);
+  const Placement p = hypergraph_placement(inst);
   reg.set_enabled(false);
-  ASSERT_EQ(q.size(), 10u);
-  for (NodeId k : q) {
+  ASSERT_EQ(p.size(), 10u);
+  for (NodeId k : p) {
     EXPECT_GE(k, 0);
     EXPECT_LT(k, 2);
   }
