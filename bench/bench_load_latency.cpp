@@ -23,9 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -74,28 +72,6 @@ double measure_decode_mbps(const search::InvertedIndex& index,
   // Keep the decode loops observable.
   if (sink == 0xDEADBEEF) std::cerr << "";
   return best;
-}
-
-/// Wall-clock speedup of `run` at `threads` over one thread, each side the
-/// best of three runs, interleaved in this process so machine load hits
-/// both alike.
-double thread_speedup(int threads, const std::function<void()>& run) {
-  double best[2] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-  for (int rep = 0; rep < 3; ++rep) {
-    for (int side = 0; side < 2; ++side) {
-      common::set_global_threads(side == 0 ? 1 : threads);
-      common::global_pool();  // spawn the workers outside the timed run
-      const auto start = std::chrono::steady_clock::now();
-      run();
-      best[side] = std::min(
-          best[side], std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-    }
-  }
-  common::set_global_threads(threads);
-  return best[1] > 0.0 ? best[0] / best[1] : 0.0;
 }
 
 }  // namespace
@@ -190,7 +166,7 @@ int main(int argc, char** argv) {
     trace::QueryTrace cycled(tb.february.vocabulary_size());
     for (std::size_t q = 0; q < kScalingArrivals; ++q)
       cycled.add_query(tb.february[q % tb.february.size()].keywords);
-    const double replay_speedup = thread_speedup(cfg.threads, [&] {
+    const double replay_speedup = bench::thread_speedup(cfg.threads, [&] {
       sim::Cluster cluster = clusters.back();  // replay charges transfers
       sim::replay_trace(cluster, tb.index, cycled);
     });
@@ -199,7 +175,7 @@ int main(int argc, char** argv) {
     scaling_cfg.nic_mbps = nic_mbps;
     scaling_cfg.num_queries = kScalingArrivals;
     scaling_cfg.seed = cfg.seed;
-    const double eventsim_speedup = thread_speedup(cfg.threads, [&] {
+    const double eventsim_speedup = bench::thread_speedup(cfg.threads, [&] {
       sim::simulate_load(clusters.back(), tb.index, tb.february, scaling_cfg);
     });
     std::ofstream out(cfg.json_path);

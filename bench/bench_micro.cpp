@@ -521,9 +521,24 @@ void BM_HypergraphPlacement(benchmark::State& state) {
   cfg.scope = static_cast<std::size_t>(state.range(0));
   const core::PartialOptimizer optimizer(trace, sizes, cfg);
   const core::CcaInstance& instance = optimizer.hyperedge_instance();
+  // Page mappings per placement: the minor faults and kernel time behind
+  // them show in no stage timer, so they are reported beside the time.
+  auto& reg = common::MetricsRegistry::global();
+  common::Counter& maps = reg.counter("common.page_allocator.maps");
+  common::Counter& mapped_bytes =
+      reg.counter("common.page_allocator.mapped_bytes");
+  maps.reset();
+  mapped_bytes.reset();
+  reg.set_enabled(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::hypergraph_placement(instance));
   }
+  reg.set_enabled(false);
+  state.counters["maps"] = benchmark::Counter(
+      static_cast<double>(maps.total()), benchmark::Counter::kAvgIterations);
+  state.counters["mapped_bytes"] =
+      benchmark::Counter(static_cast<double>(mapped_bytes.total()),
+                         benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_HypergraphPlacement)
     ->Arg(1000)

@@ -20,12 +20,17 @@
 //
 // --strategies resolves through core::StrategyRegistry. stdout carries
 // only deterministic quantities (bit-identical for any --threads, with or
-// without --metrics); wall-clock lives in the JSON cells only. The smoke
-// tier drives bench/check_frontier_grid.py over the dump: full
-// (qlen x strategy) coverage, and on long-query workloads (mean >= 4)
+// without --metrics); wall-clock lives in the JSON dump only: each cell's
+// wall_ms, and a top-level hypergraph_speedup, the partitioner's
+// configured-threads speedup over one thread on a fixed scope-1000,
+// mean-length-6 instance (best of three, interleaved). The smoke tier
+// drives bench/check_frontier_grid.py over the dump: full
+// (qlen x strategy) coverage, on long-query workloads (mean >= 4)
 // "hypergraph" must strictly beat both "multilevel" and "greedy" on the
-// lambda objective at comparable capacity feasibility.
+// lambda objective at comparable capacity feasibility, and at 4 or more
+// threads the speedup must reach 1.3.
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -38,6 +43,8 @@
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/hypergraph.hpp"
+#include "core/partial_optimizer.hpp"
+#include "trace/workload.hpp"
 #include "testbed.hpp"
 
 using namespace cca;
@@ -56,6 +63,30 @@ struct FrontierCell {
   bool feasible = false;
   double wall_ms = 0.0;         // strategy run only (JSON lane)
 };
+
+/// Thread scaling of the hypergraph partitioner on one fixed instance:
+/// scope 1000 of a 5000-keyword trace of mean query length 6 over 16
+/// nodes (bench_micro's BM_HypergraphPlacement/1000), whatever the grid's
+/// flags, so every dump times the same work. A workspace or lock that
+/// serialised the restarted V-cycles would pull it toward 1.
+double hypergraph_speedup(int threads) {
+  trace::WorkloadConfig wcfg;
+  wcfg.vocabulary_size = 5000;
+  wcfg.num_topics = 400;
+  wcfg.topic_size = 8;
+  wcfg.mean_query_length = 6.0;
+  const trace::QueryTrace trace =
+      trace::WorkloadModel(wcfg).generate(40000, 7);
+  std::vector<std::uint64_t> sizes(wcfg.vocabulary_size);
+  for (std::size_t k = 0; k < sizes.size(); ++k) sizes[k] = 64 + k % 512;
+  core::PartialOptimizerConfig cfg;
+  cfg.num_nodes = 16;
+  cfg.scope = 1000;
+  const core::PartialOptimizer optimizer(trace, sizes, cfg);
+  const core::CcaInstance& instance = optimizer.hyperedge_instance();
+  return bench::thread_speedup(
+      threads, [&] { core::hypergraph_placement(instance); });
+}
 
 std::vector<double> parse_qlens(const std::string& csv) {
   std::vector<double> out;
@@ -211,17 +242,19 @@ int main(int argc, char** argv) {
                " qlen 4 the pairwise approximation thins out and only the"
                " hyperedge view still tracks whole operations)\n";
 
+  // Metrics first: the speedup's extra placements stay out of the dump.
+  bench::write_metrics(cfg);
   if (!cfg.json_path.empty()) {
+    const double speedup = hypergraph_speedup(cfg.threads);
     std::ofstream out(cfg.json_path);
     CCA_CHECK_MSG(out.good(), "cannot write JSON log to " << cfg.json_path);
     out << "{\n  \"cells\": [\n";
     for (std::size_t i = 0; i < json_cells.size(); ++i)
       out << json_cells[i] << (i + 1 < json_cells.size() ? ",\n" : "\n");
-    out << "  ]\n}\n";
+    out << "  ],\n  \"threads\": " << cfg.threads
+        << ",\n  \"hypergraph_speedup\": " << speedup << "\n}\n";
     std::cout << "\nwrote " << json_cells.size() << " cells to "
               << cfg.json_path << "\n";
   }
-
-  bench::write_metrics(cfg);
   return 0;
 }

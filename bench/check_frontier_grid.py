@@ -19,6 +19,14 @@ other.
 It also prints the hypergraph/multilevel wall_ms ratio per query
 length, reported only: smoke-scale timings are too small to gate on.
 
+Last, it gates the partitioner's thread scaling: hypergraph_speedup is
+the dump's wall time for one fixed scope-1000, mean-length-6 instance at
+one thread over its time at the configured thread count (best of three
+each, interleaved in one process, so load hits both sides). With
+threads >= 4 it must reach MIN_THREAD_SPEEDUP, which a workspace or lock
+serialising the restarted V-cycles would miss; below 4 threads the floor
+is skipped with a notice.
+
 Usage: python3 check_frontier_grid.py <grid.json>
 """
 import json
@@ -39,6 +47,9 @@ EXPECTED_STRATEGIES = {
 # strategies legitimately tie.
 MIN_QLEN = 4.0
 LOAD_EPS = 1e-9
+# Restart-parallel scaling floor, gated from GATED_THREADS threads up.
+MIN_THREAD_SPEEDUP = 1.3
+GATED_THREADS = 4
 
 
 def main(path):
@@ -100,6 +111,24 @@ def main(path):
         ratio = f"{hg_ms / ml_ms:.2f}x" if ml_ms > 0 else "n/a"
         print(f"qlen={q}: hypergraph/multilevel wall_ms "
               f"{hg_ms:.3f}/{ml_ms:.3f} = {ratio}")
+
+    threads = dump.get("threads")
+    speedup = dump.get("hypergraph_speedup")
+    if not isinstance(threads, int) or threads < 1:
+        raise SystemExit("frontier dump: threads must be a positive integer")
+    if not isinstance(speedup, (int, float)) or speedup <= 0:
+        raise SystemExit("frontier dump: hypergraph_speedup missing or "
+                         "not positive")
+    if threads < GATED_THREADS:
+        print(f"hypergraph_speedup {speedup:.2f}x at {threads} threads: "
+              f"fewer than {GATED_THREADS}, scaling floor skipped")
+    elif speedup < MIN_THREAD_SPEEDUP:
+        raise SystemExit(
+            f"hypergraph_speedup {speedup:.2f}x at {threads} threads "
+            f"(floor {MIN_THREAD_SPEEDUP:.1f}x)")
+    else:
+        print(f"hypergraph_speedup {speedup:.2f}x at {threads} threads "
+              f"(floor {MIN_THREAD_SPEEDUP:.1f}x)")
 
     n_checked = len(long_qlens)
     print(

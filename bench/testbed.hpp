@@ -18,10 +18,13 @@
 // determinism contract — see src/common/parallel.hpp).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -293,6 +296,28 @@ inline void write_metrics(const TestbedConfig& cfg) {
   CCA_CHECK_MSG(out.good(), "cannot write metrics to " << cfg.metrics_path);
   common::MetricsRegistry::global().write_json(out);
   std::cerr << "wrote metrics to " << cfg.metrics_path << "\n";
+}
+
+/// Wall-clock speedup of `run` at `threads` over one thread, each side the
+/// best of three runs, interleaved in this process so machine load hits
+/// both alike. Leaves the pool at `threads`.
+inline double thread_speedup(int threads, const std::function<void()>& run) {
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int side = 0; side < 2; ++side) {
+      common::set_global_threads(side == 0 ? 1 : threads);
+      common::global_pool();  // spawn the workers outside the timed run
+      const auto start = std::chrono::steady_clock::now();
+      run();
+      best[side] = std::min(
+          best[side], std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    }
+  }
+  common::set_global_threads(threads);
+  return best[1] > 0.0 ? best[0] / best[1] : 0.0;
 }
 
 /// One measured grid cell with its wall-clock, for tables and --json.

@@ -14,7 +14,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,13 +24,12 @@ namespace cca::common {
 
 /// Record indices sorted by their sequences, cut into runs of equal
 /// sequences: the sort-and-merge aggregation's whole input.
-template <typename Alloc>
 struct LexOrder {
   /// Indices ordered by sequence, equal sequences by ascending index.
-  std::vector<std::size_t, Alloc> order;
+  std::vector<std::size_t> order;
   /// Group g, one distinct sequence, is order[group_begin[g],
   /// group_begin[g + 1]); the last entry is order.size().
-  std::vector<std::size_t, Alloc> group_begin;
+  std::vector<std::size_t> group_begin;
 
   std::size_t groups() const { return group_begin.size() - 1; }
 
@@ -59,27 +57,26 @@ struct LexOrder {
   }
 };
 
-/// Indices [0, count) ordered by seq(i) lexicographically (a proper
-/// prefix first), equal sequences by ascending index, with the runs of
-/// equal sequences marked. `seq(i)` returns a contiguous range of
-/// integers in [0, bound), bound <= 2^32. As many leading elements as fit
-/// at the width `bound` needs are packed into one integer key and
-/// radix-sorted (common/radix_sort.hpp). A run of equal keys in which
-/// some sequence goes on is re-keyed on its next elements and sorted
-/// again, so sequences are read once per packed head, never compared
-/// element by element. The result, the keys and the sort's scratch come
-/// from `alloc`.
-template <typename SeqFn, typename Alloc = std::allocator<std::size_t>>
-LexOrder<Alloc> lexicographic_order(std::size_t count, SeqFn seq,
-                                    std::uint64_t bound,
-                                    const Alloc& alloc = {}) {
-  CCA_CHECK_MSG(bound <= (std::uint64_t{1} << 32),
-                "sequence elements must stay below 2^32");
-  // Element p is stored shifted up by one so an absent element (0) sorts
-  // first, in `width` bits; `head` elements share one 64-bit key.
-  const int width = std::max(1, static_cast<int>(std::bit_width(bound)));
-  const std::size_t head = 64 / static_cast<std::size_t>(width);
-  const auto pack = [&](const auto& s, std::size_t from) {
+/// Packs the leading elements of id sequences into 64-bit sort keys.
+/// Element p is stored shifted up by one so an absent element (0) sorts
+/// first, in `width` bits; `head` elements share one key.
+struct LexPacker {
+  std::uint64_t bound;
+  int width;
+  std::size_t head;
+
+  /// For elements in [0, bound), bound <= 2^32.
+  explicit LexPacker(std::uint64_t element_bound)
+      : bound(element_bound),
+        width(std::max(1, static_cast<int>(std::bit_width(element_bound)))),
+        head(64 / static_cast<std::size_t>(width)) {
+    CCA_CHECK_MSG(bound <= (std::uint64_t{1} << 32),
+                  "sequence elements must stay below 2^32");
+  }
+
+  /// The key of s's elements [from, from + head).
+  template <typename Seq>
+  std::uint64_t key(const Seq& s, std::size_t from) const {
     std::uint64_t key = 0;
     for (std::size_t p = from; p < from + head; ++p) {
       std::uint64_t element = 0;
@@ -93,61 +90,94 @@ LexOrder<Alloc> lexicographic_order(std::size_t count, SeqFn seq,
       key = key << width | element;
     }
     return key;
-  };
-
-  // The length rides along, so runs of short sequences never go back
-  // to the sequences themselves.
-  CCA_CHECK_MSG(count <= UINT32_MAX, "more than 2^32 sequences");
-  struct Keyed {
-    std::uint64_t key;
-    std::uint32_t index;
-    std::uint32_t size;  // saturated at 2^32 - 1
-  };
-  using KeyedAlloc =
-      typename std::allocator_traits<Alloc>::template rebind_alloc<Keyed>;
-  std::vector<Keyed, KeyedAlloc> keyed(count, KeyedAlloc(alloc));
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& s = seq(i);
-    keyed[i] = {pack(s, 0), static_cast<std::uint32_t>(i),
-                static_cast<std::uint32_t>(
-                    std::min<std::size_t>(s.size(), UINT32_MAX))};
   }
-  radix_sort(std::span<Keyed>(keyed), [](const Keyed& k) { return k.key; },
-             alloc);
+};
 
+/// One record of the sort: the packed head of sequence `index` and its
+/// length, which rides along so runs of short sequences never go back to
+/// the sequences themselves.
+struct LexKey {
+  std::uint64_t key;
+  std::uint32_t index;
+  std::uint32_t size;  // saturated at 2^32 - 1
+
+  template <typename Seq>
+  static LexKey of(const LexPacker& packer, const Seq& s,
+                   std::uint32_t index) {
+    return {packer.key(s, 0), index,
+            static_cast<std::uint32_t>(
+                std::min<std::size_t>(s.size(), UINT32_MAX))};
+  }
+};
+
+/// The run split of the sort-and-merge over caller-built records:
+/// `keyed` holds LexKey::of(packer, seq(i), i) for some indices i, built
+/// in ascending index order and then stably sorted by key (radix_sort).
+/// Finishes the order in place — by sequence, equal sequences by
+/// ascending index — and calls on_group(members) once per distinct
+/// sequence, in order; `members` is the group's records, indices
+/// ascending. A run of equal keys in which some sequence goes on is
+/// re-keyed on its next elements and sorted again, so sequences are read
+/// once per packed head, never compared element by element.
+template <typename SeqFn, typename GroupFn>
+void lexicographic_groups(std::span<LexKey> keyed, SeqFn seq,
+                          const LexPacker& packer, GroupFn on_group) {
   // Every run of equal keys in a range shares the range's first `from`
   // elements. It is one group unless some member goes on; then its
   // members are re-keyed on the next head elements and sorted by
   // (key, index), and the run is split the same way before the rest of
   // the range (last in, first out), so groups come out in order.
-  LexOrder<Alloc> out{std::vector<std::size_t, Alloc>(alloc),
-                      std::vector<std::size_t, Alloc>(1, 0, alloc)};
   struct Range {
     std::size_t begin, end, from;
   };
-  std::vector<Range> pending{{0, count, head}};
+  std::vector<Range> pending{{0, keyed.size(), packer.head}};
   while (!pending.empty()) {
     const Range range = pending.back();
     pending.pop_back();
     for (std::size_t i = range.begin; i < range.end;) {
       std::size_t j = i + 1;
       while (j < range.end && keyed[j].key == keyed[i].key) ++j;
-      const auto run = std::span<Keyed>(keyed).subspan(i, j - i);
-      if (run.size() > 1 && std::ranges::any_of(run, [&](const Keyed& k) {
+      const std::span<LexKey> run = keyed.subspan(i, j - i);
+      if (run.size() > 1 && std::ranges::any_of(run, [&](const LexKey& k) {
             return k.size > range.from;
           })) {
-        for (Keyed& k : run) k.key = pack(seq(k.index), range.from);
-        std::ranges::sort(run, [](const Keyed& a, const Keyed& b) {
+        for (LexKey& k : run) k.key = packer.key(seq(k.index), range.from);
+        std::ranges::sort(run, [](const LexKey& a, const LexKey& b) {
           return a.key != b.key ? a.key < b.key : a.index < b.index;
         });
         pending.push_back({j, range.end, range.from});
-        pending.push_back({i, j, range.from + head});
+        pending.push_back({i, j, range.from + packer.head});
         break;
       }
-      out.group_begin.push_back(j);
+      on_group(std::span<const LexKey>(run));
       i = j;
     }
   }
+}
+
+/// Indices [0, count) ordered by seq(i) lexicographically (a proper
+/// prefix first), equal sequences by ascending index, with the runs of
+/// equal sequences marked. `seq(i)` returns a contiguous range of
+/// integers in [0, bound), bound <= 2^32. As many leading elements as fit
+/// at the width `bound` needs are packed into one integer key,
+/// radix-sorted (common/radix_sort.hpp) and split by
+/// lexicographic_groups.
+template <typename SeqFn>
+LexOrder lexicographic_order(std::size_t count, SeqFn seq,
+                             std::uint64_t bound) {
+  const LexPacker packer(bound);
+  CCA_CHECK_MSG(count <= UINT32_MAX, "more than 2^32 sequences");
+  std::vector<LexKey> keyed(count);
+  for (std::size_t i = 0; i < count; ++i)
+    keyed[i] = LexKey::of(packer, seq(i), static_cast<std::uint32_t>(i));
+  radix_sort(std::span<LexKey>(keyed), [](const LexKey& k) { return k.key; });
+
+  LexOrder out{{}, {0}};
+  lexicographic_groups(std::span<LexKey>(keyed), seq, packer,
+                       [&](std::span<const LexKey> members) {
+                         out.group_begin.push_back(out.group_begin.back() +
+                                                   members.size());
+                       });
   out.order.resize(count);
   for (std::size_t i = 0; i < count; ++i) out.order[i] = keyed[i].index;
   return out;

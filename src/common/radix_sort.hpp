@@ -21,6 +21,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 
 namespace cca::common {
@@ -32,14 +33,17 @@ inline constexpr int kRadixDigitBits = 11;
 
 /// Sorts `items` ascending by key(item) (a std::uint64_t), keeping the
 /// input order among equal keys. `key` must be safe to call concurrently.
-/// The scatter buffer comes from `alloc` (rebound to T): a caller on a
-/// pool worker passes common::PageAllocator so that nothing stays behind
-/// in the worker's malloc arena.
-template <typename T, typename KeyFn, typename Alloc = std::allocator<T>>
-void radix_sort(std::span<T> items, KeyFn key, const Alloc& alloc = {}) {
+/// `scratch` is the scatter buffer, at least as long as `items`; its
+/// contents are overwritten. A caller that sorts repeatedly (one per
+/// hypergraph level) keeps one buffer for all the sorts.
+template <typename T, typename KeyFn>
+void radix_sort(std::span<T> items, KeyFn key, std::span<T> scratch) {
   static_assert(std::is_trivially_copyable_v<T>);
   const std::size_t n = items.size();
   if (n < 2) return;
+  CCA_CHECK_MSG(scratch.size() >= n, "radix_sort scratch holds "
+                                         << scratch.size() << " of " << n
+                                         << " records");
   const auto chunks = chunk_ranges(n, kRadixChunk);
   const auto each_chunk = [&](auto&& body) {
     parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
@@ -64,17 +68,9 @@ void radix_sort(std::span<T> items, KeyFn key, const Alloc& alloc = {}) {
   const int digit_bits = (span + passes - 1) / passes;
   const std::size_t buckets = std::size_t{1} << digit_bits;
 
-  using TAlloc = typename std::allocator_traits<Alloc>::template rebind_alloc<T>;
-  using Traits = std::allocator_traits<TAlloc>;
-  TAlloc scratch_alloc(alloc);
-  const auto release = [&](T* block) {
-    Traits::deallocate(scratch_alloc, block, n);
-  };
-  const std::unique_ptr<T, decltype(release)> scratch(
-      Traits::allocate(scratch_alloc, n), release);
   std::vector<std::size_t> next(chunks.size() * buckets);
   T* src = items.data();
-  T* dst = scratch.get();
+  T* dst = scratch.data();
   for (int pass = 0; pass < passes; ++pass) {
     const int shift = low + pass * digit_bits;
     if (((varying >> shift) & (buckets - 1)) == 0) continue;
@@ -108,6 +104,14 @@ void radix_sort(std::span<T> items, KeyFn key, const Alloc& alloc = {}) {
       std::copy(src + begin, src + end, items.data() + begin);
     });
   }
+}
+
+/// The same with a scatter buffer allocated for this sort alone.
+template <typename T, typename KeyFn>
+void radix_sort(std::span<T> items, KeyFn key) {
+  if (items.size() < 2) return;
+  const auto scratch = std::make_unique_for_overwrite<T[]>(items.size());
+  radix_sort(items, key, std::span<T>(scratch.get(), items.size()));
 }
 
 }  // namespace cca::common

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -13,8 +12,8 @@
 #include "common/check.hpp"
 #include "common/lex_order.hpp"
 #include "common/metrics.hpp"
-#include "common/page_allocator.hpp"
 #include "common/parallel.hpp"
+#include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "core/hypergraph_detail.hpp"
 
@@ -22,12 +21,142 @@ namespace cca::core {
 
 namespace detail {
 
-NetState::NetState(const Hypergraph& g, const std::vector<NodeId>& part)
-    : g_(g),
-      lambda_(static_cast<std::size_t>(g.num_nets()), 0),
-      slots_(g.pins.size()) {
+void Incidence::attach(Hypergraph& g) {
+  begin_.resize(static_cast<std::size_t>(g.n) + 1);
+  std::fill(begin_.begin(), begin_.end(), 0);
+  for (int v : g.pins) ++begin_[v + 1];
+  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+  common::trim(incident_, g.pins.size());
+  incident_.resize(g.pins.size());
+  next_.assign(begin_.begin(), begin_.end() - 1);
   for (int e = 0; e < g.num_nets(); ++e)
+    for (int v : g.net(e)) incident_[next_[v]++] = e;
+  g.incident = incident_;
+  g.inc_begin = begin_;
+}
+
+void Level::reserve(std::size_t nets, std::size_t pins) {
+  const std::size_t bytes =
+      nets * sizeof(double) + (nets + 1 + pins) * sizeof(int);
+  block_ = {static_cast<std::byte*>(common::page_allocate(bytes)),
+            Free{bytes}};
+  eweight_ = reinterpret_cast<double*>(block_.get());
+  net_begin_ = reinterpret_cast<int*>(eweight_ + nets);
+  pins_ = net_begin_ + nets + 1;
+  net_begin_[0] = 0;
+  num_nets_ = num_pins_ = 0;
+  max_nets_ = nets;
+  max_pins_ = pins;
+}
+
+void ContractScratch::reserve(std::size_t nets, std::size_t pin_count) {
+  pins.reserve(pin_count);
+  begin.reserve(nets + 1);
+  source.reserve(nets);
+  keys.reserve(nets);
+  scatter.reserve(nets);
+}
+
+void ContractScratch::trim(std::size_t nets, std::size_t pin_count) {
+  common::trim(pins, pin_count);
+  common::trim(begin, nets + 1);
+  common::trim(source, nets);
+  common::trim(keys, nets);
+  common::trim(scatter, nets);
+}
+
+void contract(const Hypergraph& g, std::span<const int> coarse_of,
+              int coarse_n, ContractScratch& scratch, Level& coarse) {
+  // Nets up to this size are insertion-sorted as their pins are remapped.
+  constexpr std::size_t kInsertionLimit = 32;
+  const common::LexPacker packer(static_cast<std::uint64_t>(coarse_n));
+  const auto nets = static_cast<std::size_t>(g.num_nets());
+  scratch.pins.resize(g.pins.size());
+  scratch.begin.resize(nets + 1);
+  scratch.source.resize(nets);
+  scratch.keys.resize(nets);
+
+  // One pass: each fine net is remapped into the next free stretch of
+  // scratch.pins, sorted and deduplicated there, and kept (with the
+  // packed head of its pin set) if two or more pins remain.
+  int* const pins = scratch.pins.data();
+  int top = 0;
+  std::size_t kept = 0;
+  scratch.begin[0] = 0;
+  for (std::size_t e = 0; e < nets; ++e) {
+    const std::span<const int> fine = g.net(static_cast<int>(e));
+    int* const first = pins + top;
+    int* last = first;
+    if (fine.size() <= kInsertionLimit) {
+      for (int v : fine) {
+        const int c = coarse_of[v];
+        int* at = last;
+        while (at > first && at[-1] > c) --at;
+        if (at > first && at[-1] == c) continue;  // already a pin
+        std::copy_backward(at, last, last + 1);
+        *at = c;
+        ++last;
+      }
+    } else {
+      for (int v : fine) *last++ = coarse_of[v];
+      std::sort(first, last);
+      last = std::unique(first, last);
+    }
+    if (last - first < 2) continue;  // contracted away
+    top += static_cast<int>(last - first);
+    scratch.begin[kept + 1] = top;
+    scratch.source[kept] = static_cast<int>(e);
+    scratch.keys[kept] = common::LexKey::of(
+        packer, std::span<const int>(first, last),
+        static_cast<std::uint32_t>(kept));
+    ++kept;
+  }
+  scratch.keys.resize(kept);
+  scratch.scatter.resize(kept);
+
+  // Sorting by pin set and merging the runs emits the merged nets in
+  // lexicographic pin-set order and sums each run's weights in fine-net
+  // order, so the result is deterministic.
+  common::radix_sort(std::span<common::LexKey>(scratch.keys),
+                     [](const common::LexKey& k) { return k.key; },
+                     std::span<common::LexKey>(scratch.scatter));
+  const auto net = [&](std::size_t i) {
+    return std::span<const int>(pins + scratch.begin[i],
+                                pins + scratch.begin[i + 1]);
+  };
+  // Reserved for the unmerged worst case: page-mapped storage leaves the
+  // untouched tail unbacked.
+  coarse.reserve(kept, static_cast<std::size_t>(top));
+  common::lexicographic_groups(
+      std::span<common::LexKey>(scratch.keys), net, packer,
+      [&](std::span<const common::LexKey> members) {
+        double weight = g.eweight[scratch.source[members[0].index]];
+        for (std::size_t i = 1; i < members.size(); ++i)
+          weight += g.eweight[scratch.source[members[i].index]];
+        coarse.add_net(net(members[0].index), weight);
+      });
+}
+
+void RefineBuffers::reserve(const Hypergraph& g, int num_nodes) {
+  const auto n = static_cast<std::size_t>(g.n);
+  live.reserve(static_cast<std::size_t>(g.num_nets()));
+  slots.reserve(g.pins.size());
+  rows.reserve(n * static_cast<std::size_t>(num_nodes));
+  base.reserve(n);
+  total.reserve(n);
+}
+
+NetState::NetState(const Hypergraph& g, const std::vector<NodeId>& part,
+                   RefineBuffers& buffers)
+    : g_(g) {
+  buffers.live.resize(static_cast<std::size_t>(g.num_nets()));
+  buffers.slots.resize(g.pins.size());
+  lambda_ = buffers.live.data();
+  slots_ = buffers.slots.data();
+  for (int e = 0; e < g.num_nets(); ++e) {
+    lambda_[e] = 0;
     for (int v : g.net(e)) add(e, part[v]);
+  }
 }
 
 std::pair<int, int> NetState::move(int e, NodeId from, NodeId to) {
@@ -38,7 +167,7 @@ std::pair<int, int> NetState::move(int e, NodeId from, NodeId to) {
 }
 
 NetState::Slot* NetState::find(int e, NodeId k) {
-  Slot* s = slots_.data() + g_.net_begin[e];
+  Slot* s = slots_ + g_.net_begin[e];
   for (Slot* end = s + lambda_[e]; s < end; ++s)
     if (s->node == k) return s;
   return nullptr;
@@ -51,15 +180,23 @@ int NetState::add(int e, NodeId k) {
 }
 
 RefineState::RefineState(const Hypergraph& g, std::vector<NodeId>& part,
-                         int num_nodes)
+                         int num_nodes, RefineBuffers& buffers)
     : g_(g),
       part_(part),
       num_nodes_(num_nodes),
       load_(static_cast<std::size_t>(num_nodes), 0.0),
-      nets_(g, part),
-      rows_(static_cast<std::size_t>(g.n) * num_nodes),
-      base_(static_cast<std::size_t>(g.n)),
-      total_(static_cast<std::size_t>(g.n)) {
+      nets_(g, part, buffers) {
+  const auto n = static_cast<std::size_t>(g.n);
+  const std::size_t cells = n * static_cast<std::size_t>(num_nodes);
+  buffers.rows.resize(cells);
+  buffers.base.resize(n);
+  buffers.total.resize(n);
+  rows_ = buffers.rows.data();
+  base_ = buffers.base.data();
+  total_ = buffers.total.data();
+  std::fill_n(rows_, cells, Gain{0.0, 0.0});
+  std::fill_n(base_, n, 0.0);
+  std::fill_n(total_, n, 0.0);
   for (int v = 0; v < g.n; ++v) load_[part[v]] += g.vweight[v];
   // Nets in ascending order feed each pin's row one term per node per
   // net: the incident-net order and sums a from-scratch evaluation of the
@@ -69,7 +206,7 @@ RefineState::RefineState(const Hypergraph& g, std::vector<NodeId>& part,
     const double share = g.share(e);
     const std::span<const NetState::Slot> slots = nets_.slots(e);
     for (int x : g.net(e)) {
-      Gain* row = rows_.data() + static_cast<std::size_t>(x) * num_nodes_;
+      Gain* row = rows_ + static_cast<std::size_t>(x) * num_nodes_;
       const NodeId current = part[x];
       total_[x] += w;
       for (const auto& [k, count] : slots) {
@@ -92,7 +229,7 @@ void RefineState::move(int v, NodeId to) {
     const double w = g_.eweight[e];
     const double share = g_.share(e);
     for (int x : g_.net(e)) {
-      Gain* row = rows_.data() + static_cast<std::size_t>(x) * num_nodes_;
+      Gain* row = rows_ + static_cast<std::size_t>(x) * num_nodes_;
       if (at_from == 1) row[from].present -= w;  // e leaves `from`
       if (at_to == 0) row[to].present += w;      // e reaches `to`
       if (x == v) continue;
@@ -112,46 +249,90 @@ void RefineState::move(int v, NodeId to) {
 
 namespace {
 
+using detail::ContractScratch;
 using detail::Hypergraph;
+using detail::Incidence;
+using detail::Level;
+using detail::RefineBuffers;
 using detail::RefineState;
 
-Hypergraph build_base(const CcaInstance& instance) {
-  Hypergraph g;
-  g.n = instance.num_objects();
-  g.vweight = instance.object_sizes();
-  g.pin.resize(static_cast<std::size_t>(g.n));
-  for (int i = 0; i < g.n; ++i) g.pin[i] = instance.pinned_node(i);
-
-  if (instance.has_hyperedges()) {
-    // set_hyperedges already canonicalized (sorted distinct pins, >= 2,
-    // duplicates merged).
-    for (const Hyperedge& e : instance.hyperedges())
-      g.add_net(e.pins, e.weight);
-  } else {
-    // Pairwise fallback: each pair is a 2-pin net of weight r*w, so
-    // lambda - 1 reduces to the paper's cut objective and the partitioner
-    // acts as the Golab-style graph partitioner.
-    std::map<std::pair<int, int>, double> edges;
-    for (const PairWeight& p : instance.pairs()) {
-      if (p.cost() <= 0.0) continue;
-      edges[{p.i, p.j}] += p.cost();
+/// Level 0, shared read-only by the restarts: the instance's hyperedges
+/// read in place (or, without them, the pairwise view lifted into 2-pin
+/// nets) with incidence lists built once.
+class Base {
+ public:
+  explicit Base(const CcaInstance& instance) {
+    level_.pin.resize(static_cast<std::size_t>(instance.num_objects()));
+    for (int i = 0; i < instance.num_objects(); ++i)
+      level_.pin[i] = instance.pinned_node(i);
+    if (instance.has_hyperedges()) {
+      // set_hyperedges already canonicalized (sorted distinct pins, >= 2,
+      // duplicates merged).
+      const Hyperedges& edges = instance.hyperedges();
+      view_.pins = edges.pins();
+      view_.net_begin = edges.offsets();
+      view_.eweight = edges.weights();
+    } else {
+      lift_pairs(instance.pairs());
+      view_ = level_.view();
     }
-    for (const auto& [key, weight] : edges) {
-      const int pins[] = {key.first, key.second};
-      g.add_net(pins, weight);
+    view_.n = instance.num_objects();
+    view_.vweight = instance.object_sizes();
+    view_.pin = level_.pin;
+    incidence_.reserve(static_cast<std::size_t>(view_.n), view_.pins.size());
+    incidence_.attach(view_);
+  }
+  Base(const Base&) = delete;
+  Base& operator=(const Base&) = delete;
+
+  const Hypergraph& view() const { return view_; }
+
+ private:
+  /// Pairwise fallback: each pair is a 2-pin net of weight r*w, so
+  /// lambda - 1 reduces to the paper's cut objective and the partitioner
+  /// acts as the Golab-style graph partitioner. Pairs sort by (i, j) and
+  /// equal pairs merge, their costs summed in input order.
+  void lift_pairs(const std::vector<PairWeight>& pairs) {
+    struct Keyed {
+      std::uint64_t key;  // i << 32 | j, i < j
+      double cost;
+    };
+    std::vector<Keyed> keyed;
+    keyed.reserve(pairs.size());
+    for (const PairWeight& p : pairs)
+      if (p.cost() > 0.0)
+        keyed.push_back({static_cast<std::uint64_t>(p.i) << 32 |
+                             static_cast<std::uint32_t>(p.j),
+                         p.cost()});
+    common::radix_sort(std::span<Keyed>(keyed),
+                       [](const Keyed& k) { return k.key; });
+    level_.reserve(keyed.size(), 2 * keyed.size());
+    for (std::size_t i = 0; i < keyed.size();) {
+      double weight = keyed[i].cost;
+      std::size_t j = i + 1;
+      for (; j < keyed.size() && keyed[j].key == keyed[i].key; ++j)
+        weight += keyed[j].cost;
+      const int pins[] = {static_cast<int>(keyed[i].key >> 32),
+                          static_cast<int>(keyed[i].key & 0xFFFFFFFFu)};
+      level_.add_net(pins, weight);
+      i = j;
     }
   }
-  g.build_incidence();
-  return g;
-}
 
-/// Heavy-edge matching on pin co-membership + contraction. Fills
-/// coarse_of (fine vertex -> coarse vertex). Pinned vertices only merge
-/// with vertices of the same (or no) pin; no match may create a coarse
-/// vertex heavier than `max_weight`, or contracted blobs outgrow node
-/// capacity and refinement can never rebalance them.
-Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
-                   std::vector<int>& coarse_of) {
+  Level level_;  // the pins, and the lifted pairs' nets
+  Incidence incidence_;
+  Hypergraph view_;
+};
+
+/// Heavy-edge matching on pin co-membership, then contraction into
+/// `coarse`. Fills coarse_of (fine vertex -> coarse vertex). Pinned
+/// vertices only merge with vertices of the same (or no) pin; no match may
+/// create a coarse vertex heavier than `max_weight`, or contracted blobs
+/// outgrow node capacity and refinement can never rebalance them. Returns
+/// false, contracting nothing, when matching stalls (no vertex merged).
+bool coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
+             std::vector<int>& coarse_of, ContractScratch& scratch,
+             Level& coarse) {
   static common::Timer& timer =
       common::MetricsRegistry::global().timer("core.hypergraph.coarsen");
   const common::ScopedTimer scoped(timer);
@@ -205,11 +386,10 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
   }
 
   coarse_of.assign(static_cast<std::size_t>(g.n), -1);
-  Hypergraph coarse;
   for (int v = 0; v < g.n; ++v) {
     if (coarse_of[v] >= 0) continue;
     const int partner = match[v];
-    const int c = coarse.n++;
+    const int c = static_cast<int>(coarse.vweight.size());
     coarse_of[v] = c;
     double weight = g.vweight[v];
     std::optional<NodeId> pin = g.pin[v];
@@ -221,50 +401,10 @@ Hypergraph coarsen(const Hypergraph& g, common::Rng& rng, double max_weight,
     coarse.vweight.push_back(weight);
     coarse.pin.push_back(pin);
   }
-
-  // Net contraction/dedup: remap pins (sorted, distinct), drop collapsed
-  // single-pin nets, then merge nets whose coarse pin sets coincide.
-  // Sorting by pin set and merging adjacent runs emits the merged nets in
-  // lexicographic pin-set order and sums each run's weights in fine-net
-  // order, so the result is deterministic. The surviving nets are kept in
-  // CSR form with the fine net each came from, not a weighted copy.
-  common::PagedVector<int> cpins;
-  cpins.reserve(g.pins.size());
-  common::PagedVector<int> cbegin{0};
-  common::PagedVector<int> source;
-  cbegin.reserve(static_cast<std::size_t>(g.num_nets()) + 1);
-  source.reserve(static_cast<std::size_t>(g.num_nets()));
-  for (int e = 0; e < g.num_nets(); ++e) {
-    const std::size_t first = cpins.size();
-    for (int v : g.net(e)) cpins.push_back(coarse_of[v]);
-    const auto begin = cpins.begin() + static_cast<std::ptrdiff_t>(first);
-    std::sort(begin, cpins.end());
-    cpins.erase(std::unique(begin, cpins.end()), cpins.end());
-    if (cpins.size() - first < 2) {  // contracted away
-      cpins.resize(first);
-      continue;
-    }
-    cbegin.push_back(static_cast<int>(cpins.size()));
-    source.push_back(e);
-  }
-  const auto net = [&](std::size_t i) {
-    return std::span<const int>(cpins.data() + cbegin[i],
-                                cpins.data() + cbegin[i + 1]);
-  };
-  const auto by_pins = common::lexicographic_order(
-      source.size(), net, static_cast<std::uint64_t>(coarse.n),
-      common::PageAllocator<std::size_t>());
-  // Reserved for the unmerged worst case: page-mapped storage leaves the
-  // untouched tail unbacked.
-  coarse.pins.reserve(cpins.size());
-  coarse.net_begin.reserve(source.size() + 1);
-  coarse.eweight.reserve(source.size());
-  by_pins.for_each_weighted_group(
-      [&](std::size_t i) { return g.eweight[source[i]]; },
-      [&](std::size_t first, double weight) {
-        coarse.add_net(net(first), weight);
-      });
-  return coarse;
+  const auto coarse_n = static_cast<int>(coarse.vweight.size());
+  if (coarse_n >= g.n) return false;
+  detail::contract(g, coarse_of, coarse_n, scratch, coarse);
+  return true;
 }
 
 /// Greedy affinity placement of a (coarse) hypergraph: big vertices
@@ -331,7 +471,8 @@ std::vector<NodeId> initial_partition(const Hypergraph& g,
 /// FM-style single-vertex refinement of the lambda-1 objective under
 /// capacity, then the deterministic overflow drain.
 void refine(const Hypergraph& g, const std::vector<double>& capacities,
-            std::vector<NodeId>& part, int passes, common::Rng& rng) {
+            std::vector<NodeId>& part, int passes, common::Rng& rng,
+            RefineBuffers& buffers) {
   auto& reg = common::MetricsRegistry::global();
   static common::Timer& timer = reg.timer("core.hypergraph.refine");
   static common::Counter& evaluations_counter =
@@ -344,7 +485,7 @@ void refine(const Hypergraph& g, const std::vector<double>& capacities,
   // every move (see RefineState), so a sweep visit reads N row entries
   // instead of re-walking the vertex's nets; most visits move nothing.
   const int N = static_cast<int>(capacities.size());
-  RefineState state(g, part, N);
+  RefineState state(g, part, N, buffers);
   const std::vector<double>& load = state.load();
 
   std::vector<int> order(static_cast<std::size_t>(g.n));
@@ -478,48 +619,63 @@ double max_overflow(const Hypergraph& g, const std::vector<NodeId>& part,
 }
 
 /// One multilevel V-cycle (coarsen, place, uncoarsen + refine) over the
-/// prebuilt base hypergraph, which serves as level 0 without a copy.
-/// Randomness comes from `rng` alone, so each restart's stream picks its
-/// own matchings and refinement orders. A coarse level is freed as soon
-/// as its partition has been projected to the level below: restarts run
-/// concurrently, and each holds only the levels it still needs, with
-/// incidence lists only on the level it is working on.
+/// shared level 0. Randomness comes from `rng` alone, so each restart's
+/// stream picks its own matchings and refinement orders. Restarts run
+/// concurrently, so each cycle holds as little as it can: a coarse level
+/// is freed as soon as its partition has been projected to the level
+/// below, incidence lists exist only for the level being worked on, and
+/// the contraction scratch lives only while coarsening and the refine
+/// buffers only while uncoarsening. Every scratch buffer is reserved once
+/// at level-0 size and resized per level, so a cycle maps each of them
+/// once and backs only the pages its largest level writes.
 std::vector<NodeId> run_vcycle(const Hypergraph& base,
                                const std::vector<double>& capacities,
                                double max_vertex_weight,
                                const HypergraphOptions& options,
                                common::Rng& rng,
                                common::Histogram& level_count) {
-  std::vector<Hypergraph> coarse;      // coarse[l]: level l + 1
+  std::vector<Level> coarse;           // coarse[l]: level l + 1
   std::vector<std::vector<int>> maps;  // maps[l]: level l -> level l + 1
-  const auto level = [&](std::size_t l) -> const Hypergraph& {
-    return l == 0 ? base : coarse[l - 1];
-  };
-  while (level(coarse.size()).n > options.coarsen_to) {
-    const Hypergraph& finest = level(coarse.size());
-    std::vector<int> coarse_of;
-    Hypergraph next = coarsen(finest, rng, max_vertex_weight, coarse_of);
-    if (next.n >= finest.n) break;  // matching stalled
-    if (!coarse.empty()) coarse.back().drop_incidence();
-    next.build_incidence();
-    maps.push_back(std::move(coarse_of));
-    coarse.push_back(std::move(next));
+  Incidence incidence;                 // of the coarse level in use
+  incidence.reserve(static_cast<std::size_t>(base.n), base.pins.size());
+  Hypergraph finest = base;
+  {
+    ContractScratch scratch;
+    scratch.reserve(static_cast<std::size_t>(base.num_nets()),
+                    base.pins.size());
+    while (finest.n > options.coarsen_to) {
+      std::vector<int> coarse_of;
+      Level next;
+      if (!coarsen(finest, rng, max_vertex_weight, coarse_of, scratch, next))
+        break;  // matching stalled
+      maps.push_back(std::move(coarse_of));
+      coarse.push_back(std::move(next));
+      finest = coarse.back().view();
+      scratch.trim(static_cast<std::size_t>(finest.num_nets()),
+                   finest.pins.size());
+      incidence.attach(finest);
+    }
   }
   level_count.observe(coarse.size() + 1);
 
-  std::vector<NodeId> part = initial_partition(level(coarse.size()), capacities);
-  refine(level(coarse.size()), capacities, part, options.refinement_passes,
-         rng);
+  const int num_nodes = static_cast<int>(capacities.size());
+  RefineBuffers buffers;
+  buffers.reserve(base, num_nodes);
+  std::vector<NodeId> part = initial_partition(finest, capacities);
+  refine(finest, capacities, part, options.refinement_passes, rng, buffers);
 
   for (std::size_t l = maps.size(); l-- > 0;) {
-    const Hypergraph& fine = level(l);
+    Hypergraph fine = l == 0 ? base : coarse[l - 1].view();
     std::vector<NodeId> fine_part(static_cast<std::size_t>(fine.n));
     for (int v = 0; v < fine.n; ++v) fine_part[v] = part[maps[l][v]];
     part = std::move(fine_part);
-    coarse.resize(l);  // keeps level(l) itself: coarse[l - 1] stays put
+    coarse.resize(l);  // keeps level l itself: coarse[l - 1] stays put
     maps.resize(l);
-    if (l > 0) coarse[l - 1].build_incidence();
-    refine(fine, capacities, part, options.refinement_passes, rng);
+    if (l > 0)
+      incidence.attach(fine);
+    else
+      incidence = Incidence();  // level 0's lists are shared
+    refine(fine, capacities, part, options.refinement_passes, rng, buffers);
   }
   return part;
 }
@@ -536,7 +692,7 @@ Placement hypergraph_placement(const CcaInstance& instance,
       reg.histogram("core.hypergraph.levels");
   runs.add();
 
-  const Hypergraph base = build_base(instance);
+  const Base base(instance);
   const std::vector<double>& capacities = instance.node_capacities();
   double min_capacity = instance.node_capacity(0);
   for (int k = 1; k < instance.num_nodes(); ++k)
@@ -561,10 +717,10 @@ Placement hypergraph_placement(const CcaInstance& instance,
         common::Rng rng(common::named_stream_seed(
             options.seed, "core.hypergraph.r" + std::to_string(r)));
         Cycle cycle;
-        cycle.part = run_vcycle(base, capacities, max_vertex_weight, options,
-                                rng, level_count);
-        cycle.cost = lambda_cost(base, cycle.part);
-        cycle.over = max_overflow(base, cycle.part, capacities);
+        cycle.part = run_vcycle(base.view(), capacities, max_vertex_weight,
+                                options, rng, level_count);
+        cycle.cost = lambda_cost(base.view(), cycle.part);
+        cycle.over = max_overflow(base.view(), cycle.part, capacities);
         return cycle;
       });
   // Feasibility ranks above cost so an overflowing cycle never beats a

@@ -37,6 +37,17 @@
 // The restarted V-cycles run concurrently on the shared pool, one named
 // RNG stream each, and the best cycle on the exact objective wins.
 //
+// Storage: every level is a CSR view (core/hypergraph_detail.hpp). Level
+// 0 reads the instance's hyperedge store in place (CcaInstance keeps it
+// as one CSR) with incidence lists built once and shared by the cycles;
+// each coarse level keeps its nets in one page-mapped block. Each cycle
+// owns one workspace: the contraction scratch lives only while it
+// coarsens, the refine state (slots, live counts, gain rows) only while
+// it uncoarsens, and one set of incidence lists serves the coarse level
+// in use. Each buffer is reserved once at level-0 size and resized per
+// level without being zero-filled, so a cycle maps it once and backs
+// only the pages its levels write.
+//
 // Pins are honoured exactly and per-node capacities enforced by an
 // overflow drain; when a node cannot be drained below capacity the
 // overflow spills deterministically and is surfaced through the

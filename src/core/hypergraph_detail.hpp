@@ -1,36 +1,39 @@
 // Internals of the hypergraph partitioner (core/hypergraph.cpp), exposed
-// only so tests can drive its refinement state directly. Not part of the
-// library's interface.
+// only so tests can drive its contraction and refinement state directly.
+// Not part of the library's interface.
 #pragma once
 
 #include <algorithm>
-#include <numeric>
+#include <cassert>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/lex_order.hpp"
 #include "common/page_allocator.hpp"
 #include "core/instance.hpp"
 
 namespace cca::core::detail {
 
-/// Working hypergraph at one level of the multilevel hierarchy, in CSR
-/// form: net e's pins are pins[net_begin[e], net_begin[e+1]) and vertex
-/// v's incident nets are incident[inc_begin[v], inc_begin[v+1]), in
-/// ascending net order. The incidence lists are built only while a level
-/// is being coarsened or refined. The per-pin and per-net arrays are
-/// page-mapped: restarts build their levels concurrently on pool workers
-/// (see common/page_allocator.hpp).
+/// One level of the multilevel hierarchy as read-only CSR views: net e's
+/// pins are pins[net_begin[e], net_begin[e+1]) and vertex v's incident
+/// nets are incident[inc_begin[v], inc_begin[v+1]), in ascending net
+/// order. The arrays live elsewhere: level 0's nets are the instance's
+/// hyperedge store (or the lifted pairwise view) with incidence lists
+/// built once per placement; a coarse level's vertices and nets are its
+/// Level, its incidence lists the V-cycle's Incidence buffers.
 struct Hypergraph {
   int n = 0;
-  std::vector<double> vweight;                // object bytes
-  std::vector<std::optional<NodeId>> pin;     // placement pins (fixed node)
-  common::PagedVector<int> pins;              // nets' distinct vertices
-  common::PagedVector<int> net_begin{0};
-  common::PagedVector<double> eweight;        // net -> rate weight
-  common::PagedVector<int> incident;          // vertices' incident net ids
-  std::vector<int> inc_begin;
+  std::span<const double> vweight;               // object bytes
+  std::span<const std::optional<NodeId>> pin;    // placement pins
+  std::span<const int> pins;                     // nets' distinct vertices
+  std::span<const int> net_begin;                // num_nets() + 1 entries
+  std::span<const double> eweight;               // net -> rate weight
+  std::span<const int> incident;                 // vertices' incident nets
+  std::span<const int> inc_begin;
 
   int num_nets() const { return static_cast<int>(eweight.size()); }
   int net_size(int e) const { return net_begin[e + 1] - net_begin[e]; }
@@ -39,35 +42,127 @@ struct Hypergraph {
     return eweight[e] / static_cast<double>(std::max(net_size(e) - 1, 1));
   }
   std::span<const int> net(int e) const {
-    return {pins.data() + net_begin[e], pins.data() + net_begin[e + 1]};
+    return pins.subspan(net_begin[e], net_size(e));
   }
   std::span<const int> nets_of(int v) const {
-    return {incident.data() + inc_begin[v],
-            incident.data() + inc_begin[v + 1]};
+    return incident.subspan(inc_begin[v], inc_begin[v + 1] - inc_begin[v]);
   }
+};
 
+/// Storage of one level's vertices and nets. The nets' weights, offsets
+/// and pins share one page-mapped block, sized once by reserve() for the
+/// level's worst case: restarts build their levels concurrently on pool
+/// workers (see common/page_allocator.hpp), and one mapping per level
+/// keeps a V-cycle's mappings few; the unwritten tail is never backed.
+class Level {
+ public:
+  std::vector<double> vweight;
+  std::vector<std::optional<NodeId>> pin;
+
+  /// Room for up to `nets` nets with `pins` pins in all; precedes add_net.
+  void reserve(std::size_t nets, std::size_t pins);
   void add_net(std::span<const int> vertices, double weight) {
-    pins.insert(pins.end(), vertices.begin(), vertices.end());
-    net_begin.push_back(static_cast<int>(pins.size()));
-    eweight.push_back(weight);
+    assert(num_nets_ < max_nets_ &&
+               num_pins_ + vertices.size() <= max_pins_);
+    std::copy(vertices.begin(), vertices.end(), pins_ + num_pins_);
+    num_pins_ += vertices.size();
+    eweight_[num_nets_++] = weight;
+    net_begin_[num_nets_] = static_cast<int>(num_pins_);
+  }
+  /// The level without incidence lists.
+  Hypergraph view() const {
+    static constexpr int kNoNets[] = {0};
+    if (!block_)
+      return {static_cast<int>(vweight.size()), vweight, pin, {}, kNoNets,
+              {}, {}, {}};
+    return {static_cast<int>(vweight.size()),
+            vweight,
+            pin,
+            {pins_, num_pins_},
+            {net_begin_, num_nets_ + 1},
+            {eweight_, num_nets_},
+            {},
+            {}};
   }
 
-  void build_incidence() {
-    inc_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (int v : pins) ++inc_begin[v + 1];
-    std::partial_sum(inc_begin.begin(), inc_begin.end(), inc_begin.begin());
-    incident.resize(pins.size());
-    std::vector<int> next(inc_begin.begin(), inc_begin.end() - 1);
-    for (int e = 0; e < num_nets(); ++e)
-      for (int v : net(e)) incident[next[v]++] = e;
-  }
+ private:
+  struct Free {
+    std::size_t bytes;
+    void operator()(std::byte* block) const noexcept {
+      common::page_free(block, bytes);
+    }
+  };
+  std::unique_ptr<std::byte[], Free> block_;
+  double* eweight_ = nullptr;
+  int* net_begin_ = nullptr;
+  int* pins_ = nullptr;
+  std::size_t num_nets_ = 0, num_pins_ = 0;
+  std::size_t max_nets_ = 0, max_pins_ = 0;
+};
 
-  void drop_incidence() {
-    incident.clear();
-    incident.shrink_to_fit();
-    inc_begin.clear();
-    inc_begin.shrink_to_fit();
+/// Incidence lists, rebuilt in place for each level they serve.
+class Incidence {
+ public:
+  /// Room for any level of at most `vertices` vertices and `pins` pins.
+  void reserve(std::size_t vertices, std::size_t pins) {
+    incident_.reserve(pins);
+    begin_.reserve(vertices + 1);
+    next_.reserve(vertices);
   }
+  /// Builds g's incidence lists here and points g at them; they stay
+  /// valid until the next attach. Pages past them are released, so a
+  /// smaller level does not keep a larger one's footprint.
+  void attach(Hypergraph& g);
+
+ private:
+  common::ScratchVector<int> incident_;
+  common::ScratchVector<int> begin_;
+  common::ScratchVector<int> next_;
+};
+
+/// Scratch of net contraction, reserved once for the finest level and
+/// reused by every coarser one.
+struct ContractScratch {
+  common::ScratchVector<int> pins;     // remapped nets, back to back
+  common::ScratchVector<int> begin;    // their offsets
+  common::ScratchVector<int> source;   // the fine net each came from
+  common::ScratchVector<common::LexKey> keys;
+  common::ScratchVector<common::LexKey> scatter;  // radix sort buffer
+
+  void reserve(std::size_t nets, std::size_t pins);
+  /// Releases the pages past what a level of `nets` nets and `pins` pins
+  /// uses: once a level is contracted, every later one is smaller.
+  void trim(std::size_t nets, std::size_t pins);
+};
+
+/// Contracts g's nets into `coarse`, whose vertices (coarse_n of them)
+/// are already set: each net's pins are remapped through coarse_of,
+/// sorted and deduplicated, nets left with one pin are dropped, and nets
+/// with equal pin sets merge. The merged nets come out in lexicographic
+/// pin-set order, each weight summed over its fine nets in fine-net
+/// order.
+void contract(const Hypergraph& g, std::span<const int> coarse_of,
+              int coarse_n, ContractScratch& scratch, Level& coarse);
+
+/// Refinement buffers of one V-cycle, reserved once for the finest level
+/// and resized per level as uncoarsening climbs back to it.
+struct RefineBuffers {
+  struct Slot {
+    NodeId node;
+    int count;
+  };
+  struct Gain {
+    double present;
+    double aux;
+  };
+
+  common::ScratchVector<int> live;      // live slots per net
+  common::ScratchVector<Slot> slots;    // one per pin
+  common::ScratchVector<Gain> rows;     // n x num_nodes, row-major
+  common::ScratchVector<double> base;   // per vertex
+  common::ScratchVector<double> total;  // per vertex
+
+  void reserve(const Hypergraph& g, int num_nodes);
 };
 
 /// Per-net refinement state: the pin counts Phi(e,k) — pins of net e on
@@ -76,20 +171,17 @@ struct Hypergraph {
 /// (node, count) pair per node the net touches, and a slot whose count
 /// drops to 0 is swap-removed, so walking a net's slots costs lambda(e),
 /// not N. Weights and slot offsets are read from the hypergraph, leaving
-/// four bytes per net here.
+/// four bytes per net here, in `buffers`.
 class NetState {
  public:
-  struct Slot {
-    NodeId node;
-    int count;
-  };
+  using Slot = RefineBuffers::Slot;
 
-  NetState(const Hypergraph& g, const std::vector<NodeId>& part);
+  NetState(const Hypergraph& g, const std::vector<NodeId>& part,
+           RefineBuffers& buffers);
 
   /// The nodes net e touches, with their pin counts, in no fixed order.
   std::span<const Slot> slots(int e) const {
-    return {slots_.data() + g_.net_begin[e],
-            static_cast<std::size_t>(lambda_[e])};
+    return {slots_ + g_.net_begin[e], static_cast<std::size_t>(lambda_[e])};
   }
 
   /// Moves one of net e's pins from node `from` to node `to`; returns
@@ -102,8 +194,8 @@ class NetState {
   int add(int e, NodeId k);
 
   const Hypergraph& g_;
-  common::PagedVector<int> lambda_;  // live slots per net
-  common::PagedVector<Slot> slots_;
+  int* lambda_;  // live slots per net
+  Slot* slots_;
 };
 
 /// Refinement state of one level: the assignment, the node loads, the pin
@@ -124,19 +216,18 @@ class NetState {
 /// (Phi(e,a) was 2) and for the pin no longer alone on b (Phi(e,b) was 1).
 class RefineState {
  public:
-  struct Gain {
-    double present;
-    double aux;
-  };
+  using Gain = RefineBuffers::Gain;
 
   /// Builds the pin counts, the loads and every row from `part`, which
-  /// the state then updates in place.
-  RefineState(const Hypergraph& g, std::vector<NodeId>& part, int num_nodes);
+  /// the state then updates in place. The state lives in `buffers`,
+  /// resized to this level; it is valid until they are resized again.
+  RefineState(const Hypergraph& g, std::vector<NodeId>& part, int num_nodes,
+              RefineBuffers& buffers);
 
   const std::vector<double>& load() const { return load_; }
   const NetState& nets() const { return nets_; }
   std::span<const Gain> row(int v) const {
-    return {rows_.data() + static_cast<std::size_t>(v) * num_nodes_,
+    return {rows_ + static_cast<std::size_t>(v) * num_nodes_,
             static_cast<std::size_t>(num_nodes_)};
   }
   double base(int v) const { return base_[v]; }
@@ -151,9 +242,9 @@ class RefineState {
   int num_nodes_;
   std::vector<double> load_;
   NetState nets_;
-  common::PagedVector<Gain> rows_;  // n x num_nodes, row-major
-  common::PagedVector<double> base_;
-  common::PagedVector<double> total_;
+  Gain* rows_;
+  double* base_;
+  double* total_;
 };
 
 }  // namespace cca::core::detail

@@ -1,6 +1,7 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -112,8 +113,8 @@ void CcaInstance::set_hyperedges(std::vector<ObjectId> pins,
   }
   // Sorting the survivors by pin set and merging the runs keeps the edges
   // in pin-set order and sums duplicate weights in input order. The
-  // merged pins are copied into exactly reserved vectors so the
-  // long-lived edges sit together in the heap instead of among freed
+  // merged edges are copied into exactly reserved arrays so the
+  // long-lived store sits together in the heap instead of among freed
   // inputs; keeping per-edge input vectors slowed later LP solves in the
   // same process by about 20 % (serve-churn epoch swaps).
   const auto edge = [&](std::size_t e) {
@@ -122,13 +123,24 @@ void CcaInstance::set_hyperedges(std::vector<ObjectId> pins,
   };
   const auto sorted = common::lexicographic_order(
       kept_weights.size(), edge, static_cast<std::uint64_t>(num_objects()));
-  hyperedges_.clear();
-  hyperedges_.reserve(sorted.groups());
+  std::size_t merged_pins = 0;
+  sorted.for_each_group([&](std::span<const std::size_t> members) {
+    merged_pins += edge(members[0]).size();
+  });
+  CCA_CHECK_MSG(merged_pins <= static_cast<std::size_t>(INT_MAX),
+                "more than 2^31 - 1 hyperedge pins");
+  Hyperedges& store = hyperedges_;
+  store = {};
+  store.pins_.reserve(merged_pins);
+  store.offsets_.reserve(sorted.groups() + 1);
+  store.weights_.reserve(sorted.groups());
   sorted.for_each_weighted_group(
       [&](std::size_t e) { return kept_weights[e]; },
       [&](std::size_t first, double weight) {
         const std::span<const ObjectId> set = edge(first);
-        hyperedges_.push_back(Hyperedge{{set.begin(), set.end()}, weight});
+        store.pins_.insert(store.pins_.end(), set.begin(), set.end());
+        store.offsets_.push_back(static_cast<int>(store.pins_.size()));
+        store.weights_.push_back(weight);
       });
 }
 
@@ -136,7 +148,7 @@ double CcaInstance::connectivity_cost(const Placement& placement) const {
   CCA_CHECK(static_cast<int>(placement.size()) == num_objects());
   double cost = 0.0;
   std::vector<NodeId> nodes;
-  for (const Hyperedge& e : hyperedges_) {
+  for (const HyperedgeRef e : hyperedges_) {
     nodes.clear();
     for (ObjectId pin : e.pins) nodes.push_back(placement[pin]);
     std::sort(nodes.begin(), nodes.end());
@@ -149,7 +161,7 @@ double CcaInstance::connectivity_cost(const Placement& placement) const {
 
 double CcaInstance::total_connectivity_cost() const {
   double cost = 0.0;
-  for (const Hyperedge& e : hyperedges_)
+  for (const HyperedgeRef e : hyperedges_)
     cost += e.weight * static_cast<double>(e.degree() - 1);
   return cost;
 }

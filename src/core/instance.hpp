@@ -55,6 +55,67 @@ struct Hyperedge {
   int degree() const { return static_cast<int>(pins.size()); }
 };
 
+/// One installed hyperedge, read in place from the instance's store.
+struct HyperedgeRef {
+  std::span<const ObjectId> pins;
+  double weight = 0.0;
+
+  int degree() const { return static_cast<int>(pins.size()); }
+  /// A copy in the input form, owning its pins.
+  operator Hyperedge() const { return {{pins.begin(), pins.end()}, weight}; }
+};
+
+/// The installed hyperedges as one CSR: edge e's pins are
+/// pins()[offsets()[e], offsets()[e + 1]) and its weight weights()[e].
+/// Three arrays instead of one heap vector per edge; the hypergraph
+/// partitioner reads them in place as its finest level.
+class Hyperedges {
+ public:
+  class Iterator {
+   public:
+    using value_type = HyperedgeRef;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Iterator(const Hyperedges* edges, std::size_t e) : edges_(edges), e_(e) {}
+    HyperedgeRef operator*() const { return (*edges_)[e_]; }
+    Iterator& operator++() {
+      ++e_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++e_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return e_ == other.e_; }
+
+   private:
+    const Hyperedges* edges_ = nullptr;
+    std::size_t e_ = 0;
+  };
+
+  std::size_t size() const { return weights_.size(); }
+  bool empty() const { return weights_.empty(); }
+  HyperedgeRef operator[](std::size_t e) const {
+    return {{pins_.data() + offsets_[e], pins_.data() + offsets_[e + 1]},
+            weights_[e]};
+  }
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size()}; }
+
+  std::span<const ObjectId> pins() const { return pins_; }
+  /// size() + 1 entries, from 0 to pins().size().
+  std::span<const int> offsets() const { return offsets_; }
+  std::span<const double> weights() const { return weights_; }
+
+ private:
+  friend class CcaInstance;
+  std::vector<ObjectId> pins_;
+  std::vector<int> offsets_{0};
+  std::vector<double> weights_;
+};
+
 /// An additional per-node capacity dimension (Sec. 3.3): e.g. network
 /// bandwidth or CPU. Each object demands `demands[i]` of the resource;
 /// each node offers `capacities[k]`. Handled exactly like storage: one
@@ -105,7 +166,9 @@ class CcaInstance {
   void set_hyperedges(std::vector<ObjectId> pins,
                       std::span<const std::size_t> pins_begin,
                       std::span<const double> weights);
-  const std::vector<Hyperedge>& hyperedges() const { return hyperedges_; }
+  /// The installed edges in pin-set order (lexicographic over the sorted
+  /// pins), stored as one CSR.
+  const Hyperedges& hyperedges() const { return hyperedges_; }
   bool has_hyperedges() const { return !hyperedges_.empty(); }
 
   /// Rate-weighted connectivity-minus-one objective of `placement` over
@@ -141,7 +204,7 @@ class CcaInstance {
   std::vector<double> sizes_;
   std::vector<double> capacities_;
   std::vector<PairWeight> pairs_;
-  std::vector<Hyperedge> hyperedges_;
+  Hyperedges hyperedges_;
   std::vector<std::optional<NodeId>> pins_;
   std::vector<Resource> resources_;
   double total_size_ = 0.0;

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/lex_order.hpp"
+#include "common/metrics.hpp"
 #include "common/page_allocator.hpp"
 #include "common/parallel.hpp"
 #include "common/radix_sort.hpp"
@@ -512,7 +514,7 @@ TEST(PageAllocator, VectorsBehaveAlikeAcrossTheMappingThreshold) {
   // block into mapped pages; shrinking moves them back. Contents must
   // survive both moves, and mapped blocks start zero-filled.
   const std::size_t big = 2 * kMinMappedBytes / sizeof(int);
-  PagedVector<int> paged;
+  ScratchVector<int> paged;
   std::vector<int> plain;
   for (std::size_t i = 0; i < big; ++i) {
     paged.push_back(static_cast<int>(i * 7));
@@ -524,28 +526,59 @@ TEST(PageAllocator, VectorsBehaveAlikeAcrossTheMappingThreshold) {
   paged.shrink_to_fit();
   EXPECT_TRUE(std::equal(paged.begin(), paged.end(), plain.begin(),
                          plain.begin() + 10));
-  const PagedVector<double> zeros(kMinMappedBytes / sizeof(double) + 1);
-  EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(),
-                          [](double x) { return x == 0.0; }));
+  const std::size_t bytes = kMinMappedBytes + 1;
+  auto* block = static_cast<unsigned char*>(page_allocate(bytes));
+  EXPECT_TRUE(std::all_of(block, block + bytes,
+                          [](unsigned char x) { return x == 0; }));
+  page_free(block, bytes);
+}
 
-  // lexicographic_order draws its keys and result from the allocator
-  // given; the order itself must not change.
-  Rng rng(3);
-  std::vector<std::vector<int>> seqs(40000);
-  for (auto& seq : seqs) {
-    seq.resize(1 + rng.next_below(6));
-    for (int& x : seq) x = static_cast<int>(rng.next_below(50));
-  }
-  const auto seq = [&](std::size_t i) -> const std::vector<int>& {
-    return seqs[i];
-  };
-  const std::vector<std::size_t> expected =
-      lexicographic_order(seqs.size(), seq, 50).order;
-  const PagedVector<std::size_t> order =
-      lexicographic_order(seqs.size(), seq, 50, PageAllocator<std::size_t>())
-          .order;
-  EXPECT_TRUE(std::equal(order.begin(), order.end(), expected.begin(),
-                         expected.end()));
+TEST(PageAllocator, MappingCountersCountOnlyWhenEnabled) {
+  // Mappings are counted while the registry is on; off, the allocator
+  // records nothing, and blocks below the threshold are never mappings.
+  MetricsRegistry& reg = MetricsRegistry::global();
+  Counter& maps = reg.counter("common.page_allocator.maps");
+  Counter& mapped_bytes = reg.counter("common.page_allocator.mapped_bytes");
+  maps.reset();
+  mapped_bytes.reset();
+  const std::size_t bytes = kMinMappedBytes;
+  page_free(page_allocate(bytes), bytes);
+  EXPECT_EQ(maps.total(), 0);
+  reg.set_enabled(true);
+  page_free(page_allocate(bytes), bytes);
+  page_free(page_allocate(bytes - 1), bytes - 1);
+  reg.set_enabled(false);
+  EXPECT_EQ(maps.total(), 1);
+  EXPECT_EQ(mapped_bytes.total(), static_cast<std::int64_t>(bytes));
+}
+
+TEST(PageAllocator, ReleasedTailReadsZeroAndTrimKeepsTheHead) {
+  // Pages wholly past the kept bytes go back to the OS and read zero;
+  // the kept bytes, and the page they end in, survive.
+  const std::size_t bytes = 4 * kMinMappedBytes;
+  auto* block = static_cast<unsigned char*>(page_allocate(bytes));
+  std::fill(block, block + bytes, 7);
+  page_release_tail(block, bytes, 100);
+  EXPECT_EQ(block[0], 7);
+  EXPECT_EQ(block[99], 7);
+  EXPECT_EQ(block[bytes - 1], 0);
+  page_free(block, bytes);
+
+  // trim() shrinks a scratch buffer in place: same storage, same
+  // reservation, first elements intact, so it regrows without a copy.
+  const std::size_t n = bytes / sizeof(int);
+  ScratchVector<int> buffer;
+  buffer.reserve(n);
+  const int* data = buffer.data();
+  buffer.resize(n);
+  std::fill(buffer.begin(), buffer.end(), 7);
+  trim(buffer, 10);
+  EXPECT_EQ(buffer.size(), 10u);
+  EXPECT_EQ(buffer.capacity(), n);
+  EXPECT_TRUE(std::all_of(buffer.begin(), buffer.end(),
+                          [](int x) { return x == 7; }));
+  buffer.resize(n);
+  EXPECT_EQ(buffer.data(), data);
 }
 
 }  // namespace

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "common/lex_order.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -117,9 +121,15 @@ TEST(Hypergraph, DegenerateHyperedgesAreCanonicalized) {
                        {{0, 1}, 0.25, }});
   ASSERT_TRUE(inst.has_hyperedges());
   ASSERT_EQ(inst.hyperedges().size(), 1u);
-  const Hyperedge& e = inst.hyperedges()[0];
-  EXPECT_EQ(e.pins, (std::vector<ObjectId>{0, 1}));
-  EXPECT_DOUBLE_EQ(e.weight, 1.75);
+  const HyperedgeRef e = inst.hyperedges()[0];
+  EXPECT_TRUE(std::ranges::equal(e.pins, std::vector<ObjectId>{0, 1}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.weight),
+            std::bit_cast<std::uint64_t>(1.75));
+  // The store is the one CSR the partitioner reads as its level 0.
+  EXPECT_TRUE(std::ranges::equal(inst.hyperedges().pins(),
+                                 std::vector<ObjectId>{0, 1}));
+  EXPECT_TRUE(std::ranges::equal(inst.hyperedges().offsets(),
+                                 std::vector<int>{0, 2}));
   EXPECT_DOUBLE_EQ(inst.total_connectivity_cost(), 1.75);
 
   const Placement p = hypergraph_placement(inst);
@@ -714,6 +724,186 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   EXPECT_LT(hg_lambda, scoped.total_connectivity_cost());  // actually helps
 }
 
+// ---------- net contraction ----------
+
+namespace reference {
+
+/// The contraction the V-cycle ran before the fused pass: remap each
+/// net's pins, std::sort and unique them, drop nets left with one pin,
+/// order the survivors by pin set (equal sets by fine-net order) and
+/// merge equal sets, summing their weights in that order. The order comes
+/// from a comparison sort, the order common::lexicographic_order is
+/// specified to give, so the oracle shares no code with the radix path.
+void contract(const detail::Hypergraph& g, const std::vector<int>& coarse_of,
+              detail::Level& coarse) {
+  std::vector<int> cpins;
+  std::vector<int> cbegin{0};
+  std::vector<int> source;
+  for (int e = 0; e < g.num_nets(); ++e) {
+    const std::size_t first = cpins.size();
+    for (int v : g.net(e)) cpins.push_back(coarse_of[v]);
+    const auto begin = cpins.begin() + static_cast<std::ptrdiff_t>(first);
+    std::sort(begin, cpins.end());
+    cpins.erase(std::unique(begin, cpins.end()), cpins.end());
+    if (cpins.size() - first < 2) {
+      cpins.resize(first);
+      continue;
+    }
+    cbegin.push_back(static_cast<int>(cpins.size()));
+    source.push_back(e);
+  }
+  const auto net = [&](std::size_t i) {
+    return std::span<const int>(cpins.data() + cbegin[i],
+                                cpins.data() + cbegin[i + 1]);
+  };
+  std::vector<std::size_t> order(source.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return std::ranges::lexicographical_compare(net(a),
+                                                                 net(b));
+                   });
+  coarse.reserve(source.size(), cpins.size());
+  for (std::size_t i = 0; i < order.size();) {
+    double weight = g.eweight[source[order[i]]];
+    std::size_t j = i + 1;
+    for (; j < order.size() && std::ranges::equal(net(order[j]), net(order[i]));
+         ++j)
+      weight += g.eweight[source[order[j]]];
+    coarse.add_net(net(order[i]), weight);
+    i = j;
+  }
+}
+
+}  // namespace reference
+
+/// A fine level and its contraction map. Fine vertices 2c and 2c + 1
+/// contract to coarse vertex c for c < n / 4, so 2-pin nets over such a
+/// pair collapse to one pin; the other vertices map at random. A third of
+/// the nets are such pairs, a third are subsets of 40 ten-vertex topics
+/// (many coincide once contracted, so runs merge heavily), and the rest
+/// are random sets of 2 to 12 pins, with a few of 33 to 48 pins.
+struct ContractionCase {
+  detail::Level fine;
+  std::vector<int> coarse_of;
+  int coarse_n = 0;
+};
+
+ContractionCase make_contraction_case(std::uint64_t seed, int n, int coarse_n,
+                                      int nets) {
+  common::Rng rng(seed);
+  ContractionCase c;
+  c.coarse_n = coarse_n;
+  c.fine.vweight.assign(static_cast<std::size_t>(n), 1.0);
+  c.fine.pin.assign(static_cast<std::size_t>(n), std::nullopt);
+  for (int v = 0; v < n; ++v)
+    c.coarse_of.push_back(v < n / 2 ? v / 2
+                                    : static_cast<int>(rng.next_below(
+                                          static_cast<std::uint64_t>(
+                                              coarse_n))));
+  const auto random_vertex = [&] {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<std::vector<int>> topics(40);
+  for (std::vector<int>& topic : topics)
+    for (int t = 0; t < 10; ++t) topic.push_back(random_vertex());
+  std::vector<std::vector<int>> sets;
+  std::size_t total = 0;
+  for (int e = 0; e < nets; ++e) {
+    std::vector<int> set;
+    if (e % 3 == 0) {
+      const int pair = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(n / 4)));
+      set = {2 * pair, 2 * pair + 1};
+    } else if (e % 3 == 1) {
+      const std::vector<int>& topic = topics[rng.next_below(topics.size())];
+      for (int v : topic)
+        if (rng.next_below(3) != 0) set.push_back(v);
+    } else {
+      const int size = e % 50 == 2 ? 33 + static_cast<int>(rng.next_below(16))
+                                   : 2 + static_cast<int>(rng.next_below(11));
+      for (int t = 0; t < size; ++t) set.push_back(random_vertex());
+    }
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    if (set.size() < 2) continue;
+    total += set.size();
+    sets.push_back(std::move(set));
+  }
+  c.fine.reserve(sets.size(), total);
+  for (const std::vector<int>& set : sets)
+    c.fine.add_net(set, 0.01 + 3.0 * rng.next_double());
+  return c;
+}
+
+/// Contracts `c` through `scratch` and against the reference; both must
+/// agree bit for bit. Returns the contracted level for further checks.
+detail::Hypergraph expect_contraction_matches(const ContractionCase& c,
+                                              detail::ContractScratch& scratch,
+                                              detail::Level& actual,
+                                              detail::Level& expected) {
+  actual.vweight.assign(static_cast<std::size_t>(c.coarse_n), 1.0);
+  expected.vweight = actual.vweight;
+  const detail::Hypergraph g = c.fine.view();
+  detail::contract(g, c.coarse_of, c.coarse_n, scratch, actual);
+  reference::contract(g, c.coarse_of, expected);
+  const detail::Hypergraph a = actual.view(), b = expected.view();
+  EXPECT_EQ(a.num_nets(), b.num_nets());
+  EXPECT_TRUE(std::ranges::equal(a.net_begin, b.net_begin));
+  EXPECT_TRUE(std::ranges::equal(a.pins, b.pins));
+  EXPECT_TRUE(std::ranges::equal(a.eweight, b.eweight,
+                                 [](double x, double y) {
+                                   return std::bit_cast<std::uint64_t>(x) ==
+                                          std::bit_cast<std::uint64_t>(y);
+                                 }));
+  return a;
+}
+
+TEST(HypergraphCoarsen, MatchesReferenceContraction) {
+  // More than 1024 coarse vertices: 11-bit elements, five to a packed
+  // head, so the many nets of six or more pins tie on the head and go
+  // through the re-key path.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    const ContractionCase c = make_contraction_case(seed, 6000, 3000, 20000);
+    detail::ContractScratch scratch;
+    detail::Level actual, expected;
+    const detail::Hypergraph a =
+        expect_contraction_matches(c, scratch, actual, expected);
+    // The case is not vacuous: nets collapsed, runs merged, and merged
+    // neighbours share a full packed head but differ past it.
+    const detail::Hypergraph fine = c.fine.view();
+    EXPECT_LT(a.num_nets(), fine.num_nets() * 9 / 10);
+    const std::size_t head = common::LexPacker(3000).head;
+    ASSERT_EQ(head, 5u);
+    int rekeyed = 0;
+    for (int e = 1; e < a.num_nets(); ++e) {
+      const std::span<const int> x = a.net(e - 1), y = a.net(e);
+      rekeyed += x.size() > head && y.size() > head &&
+                 std::equal(x.begin(), x.begin() + head, y.begin());
+    }
+    EXPECT_GT(rekeyed, 10);
+  }
+}
+
+TEST(HypergraphCoarsen, ReusedScratchLeavesNoStaleTails) {
+  // The V-cycle contracts every level through one scratch reserved at the
+  // finest level's size and trimmed between levels: a small contraction
+  // after a large one must not see the large one's leftovers.
+  const ContractionCase large = make_contraction_case(4, 6000, 3000, 20000);
+  const ContractionCase small = make_contraction_case(5, 3000, 1200, 4000);
+  detail::ContractScratch scratch;
+  scratch.reserve(static_cast<std::size_t>(large.fine.view().num_nets()),
+                  large.fine.view().pins.size());
+  detail::Level a1, e1, a2, e2, a3, e3;
+  const detail::Hypergraph coarse =
+      expect_contraction_matches(large, scratch, a1, e1);
+  expect_contraction_matches(small, scratch, a2, e2);
+  scratch.trim(static_cast<std::size_t>(coarse.num_nets()),
+               coarse.pins.size());
+  expect_contraction_matches(small, scratch, a3, e3);
+}
+
 // ---------- refinement gain cache ----------
 
 TEST(HypergraphRefine, CachedGainRowsMatchRecomputeAfterEveryMove) {
@@ -724,13 +914,14 @@ TEST(HypergraphRefine, CachedGainRowsMatchRecomputeAfterEveryMove) {
   // must match too.
   const int n = 40, N = 5;
   common::Rng rng(17);
-  detail::Hypergraph g;
-  g.n = n;
+  detail::Level level;
   for (int v = 0; v < n; ++v) {
-    g.vweight.push_back(1.0 + static_cast<double>(rng.next_below(4)));
-    g.pin.push_back(v % 9 == 0 ? std::optional<NodeId>(v % N) : std::nullopt);
+    level.vweight.push_back(1.0 + static_cast<double>(rng.next_below(4)));
+    level.pin.push_back(v % 9 == 0 ? std::optional<NodeId>(v % N)
+                                   : std::nullopt);
   }
   const int kNets = 60;
+  level.reserve(kNets, kNets * 20);
   for (int e = 0; e < kNets; ++e) {
     // Every third net is a 2-pin net, every tenth spans 12 to 20 pins;
     // vertex n - 1 stays isolated.
@@ -744,14 +935,17 @@ TEST(HypergraphRefine, CachedGainRowsMatchRecomputeAfterEveryMove) {
         pins.push_back(v);
     }
     std::sort(pins.begin(), pins.end());
-    g.add_net(pins, (0.5 + rng.next_double()) / kNets);
+    level.add_net(pins, (0.5 + rng.next_double()) / kNets);
   }
-  g.build_incidence();
+  detail::Hypergraph g = level.view();
+  detail::Incidence incidence;
+  incidence.attach(g);
 
   std::vector<NodeId> part(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v)
     part[v] = g.pin[v] ? *g.pin[v] : static_cast<NodeId>(rng.next_below(N));
-  detail::RefineState state(g, part, N);
+  detail::RefineBuffers buffers;
+  detail::RefineState state(g, part, N, buffers);
 
   const auto dense_counts = [&](int e) {
     std::vector<int> phi(N, 0);

@@ -4,6 +4,7 @@
 // bit-identical results with 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -304,7 +305,7 @@ TEST(Determinism, PairCounterIsThreadCountInvariant) {
 
   std::vector<std::vector<trace::PairCount>> all_pairs, smallest_pairs;
   std::vector<std::vector<trace::KeywordId>> rankings;
-  std::vector<std::vector<core::Hyperedge>> hyperedges;
+  std::vector<core::Hyperedges> hyperedges;
   const int thread_counts[] = {1, 2, 3, 4, 8};
   for (int threads : thread_counts) {
     common::set_global_threads(threads);
@@ -336,9 +337,10 @@ TEST(Determinism, PairCounterIsThreadCountInvariant) {
     EXPECT_EQ(rankings[i], rankings[0]);
     ASSERT_EQ(hyperedges[i].size(), hyperedges[0].size());
     for (std::size_t e = 0; e < hyperedges[0].size(); ++e) {
-      EXPECT_EQ(hyperedges[i][e].pins, hyperedges[0][e].pins);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(hyperedges[i][e].weight),
-                std::bit_cast<std::uint64_t>(hyperedges[0][e].weight));
+      const core::HyperedgeRef a = hyperedges[i][e], b = hyperedges[0][e];
+      EXPECT_TRUE(std::ranges::equal(a.pins, b.pins)) << "edge " << e;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.weight),
+                std::bit_cast<std::uint64_t>(b.weight));
     }
   }
 }

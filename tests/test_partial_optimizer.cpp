@@ -3,6 +3,7 @@
 // correlated workload (the paper's central comparison).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -205,9 +206,9 @@ void expect_same_hyperedges(const CcaInstance& actual,
                             const CcaInstance& expected) {
   ASSERT_EQ(actual.hyperedges().size(), expected.hyperedges().size());
   for (std::size_t e = 0; e < actual.hyperedges().size(); ++e) {
-    const Hyperedge& a = actual.hyperedges()[e];
-    const Hyperedge& b = expected.hyperedges()[e];
-    ASSERT_EQ(a.pins, b.pins) << "edge " << e;
+    const HyperedgeRef a = actual.hyperedges()[e];
+    const HyperedgeRef b = expected.hyperedges()[e];
+    ASSERT_TRUE(std::ranges::equal(a.pins, b.pins)) << "edge " << e;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(a.weight),
               std::bit_cast<std::uint64_t>(b.weight))
         << "edge " << e;
@@ -245,7 +246,8 @@ TEST(PartialOptimizer, HyperedgeInstanceMatchesEagerBuild) {
   EXPECT_FALSE(opt.scoped_instance().has_hyperedges());
   const CcaInstance& lazy = opt.hyperedge_instance();
   ASSERT_EQ(lazy.hyperedges().size(), 1u);
-  EXPECT_EQ(lazy.hyperedges()[0].pins, (std::vector<ObjectId>{0, 1}));
+  EXPECT_TRUE(std::ranges::equal(lazy.hyperedges()[0].pins,
+                                 std::vector<ObjectId>{0, 1}));
   const double unit = 1.0 / 62.0;
   EXPECT_EQ(lazy.hyperedges()[0].weight, 10 * unit + 30 * unit + 20 * unit);
   expect_same_hyperedges(lazy, eager_hyperedge_instance(opt, trace, 5));
